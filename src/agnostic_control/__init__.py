@@ -5,7 +5,7 @@ and a Monte Carlo simulator that validates every analytic formula."""
 
 __version__ = "0.1.0"
 
-from .bayes import ControlState, GaussianPrior, control_bayes, posterior, xi_update
+from .bayes import GaussianPrior, posterior
 from .errors import (
     BudgetError,
     DomainError,
@@ -34,12 +34,9 @@ from .performance import (
     perf_coeffs_rk4,
 )
 from .simulate import (
-    Bayes,
     CostEstimate,
-    KnownA,
     SimConfig,
     Strategy,
-    ZeroControl,
     make_strategy,
     monte_carlo_cost,
     regret_empirical,

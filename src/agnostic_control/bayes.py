@@ -1,4 +1,4 @@
-"""Gaussian-prior filtering for the unknown drift, and the Bayesian control law.
+"""Gaussian-prior filtering for the unknown drift.
 
 All history relevant to inferring the drift a is compressed into the single
 statistic xi(t) = q(t) - q(0) - integral of u, which evolves as
@@ -6,6 +6,9 @@ d(xi) = a dt + dW regardless of the control applied.  Under a mean-zero
 Gaussian prior with standard deviation sigma the posterior on a is Gaussian
 with mean xi / (t + sigma^-2) and variance 1 / (t + sigma^-2).  The improper
 (sigma -> infinity) prior gives posterior mean xi / t, which requires t > 0.
+
+The Bayesian control is the known-drift law model.control_known_a with a
+replaced by the posterior mean; the simulator applies it that way.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularityError
-from .model import ProblemSpec, own_gains
 
 
 @dataclass(frozen=True)
@@ -40,56 +42,19 @@ class GaussianPrior:
         return 0.0 if self.is_improper else self.sigma ** -2
 
 
-@dataclass(frozen=True)
-class ControlState:
-    """Position q, sufficient statistic xi, and clock t."""
+def posterior(xi, t: float, prior: GaussianPrior) -> tuple:
+    """Posterior (mean, variance) of the drift given xi at time t.
 
-    q: float
-    xi: float
-    t: float
-
-
-def xi_update(state: ControlState, dq: float, u: float, dt: float) -> ControlState:
-    """Advance (q, xi, t) by one observed increment dq under control u."""
-    if dt <= 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    return ControlState(
-        q=state.q + dq,
-        xi=state.xi + dq - u * dt,
-        t=state.t + dt,
-    )
-
-
-def posterior(state: ControlState, prior: GaussianPrior) -> tuple[float, float]:
-    """Posterior (mean, variance) of the drift given the state."""
-    w = state.t + prior.precision
-    if w <= 0.0:
+    xi may be an array of paths; the mean xi / (t + sigma^-2) is the drift
+    estimate the Bayesian strategies plug into the known-drift control law.
+    """
+    w = t + prior.precision
+    if not w > 0.0:
         raise SingularityError(
             "posterior undefined: t + sigma^-2 must be positive "
-            f"(t={state.t}, improper={prior.is_improper})"
+            f"(t={t}, improper={prior.is_improper})"
         )
-    return state.xi / w, 1.0 / w
+    return xi / w, 1.0 / w
 
 
-def control_bayes(state: ControlState, prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """Bayesian control: the known-a law with a replaced by the posterior mean."""
-    if state.t < spec.t_start or state.t > spec.horizon:
-        raise DomainError(f"t={state.t} outside [{spec.t_start}, {spec.horizon}]")
-    a_bar, _ = posterior(state, prior)
-    g = own_gains(state.t, spec)
-    return -g.e2 * state.q - 0.5 * g.e1 * a_bar
-
-
-def observation_state(q_t0: float, spec: ProblemSpec) -> ControlState:
-    """State at the end of the observation phase: with u=0 and q(0)=0, xi = q."""
-    return ControlState(q=q_t0, xi=q_t0, t=spec.t_start)
-
-
-__all__ = [
-    "GaussianPrior",
-    "ControlState",
-    "xi_update",
-    "posterior",
-    "control_bayes",
-    "observation_state",
-]
+__all__ = ["GaussianPrior", "posterior"]

@@ -89,12 +89,37 @@ def _write_manifest(path: str, subcommand: str, params: dict) -> None:
         fh.write(_to_json(manifest) + "\n")
 
 
+def _parse_floats(text: str, flag: str) -> list[float]:
+    """Comma-separated finite numbers; anything else is a usage error."""
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"{flag} values must be finite, got {text!r}")
+    return values
+
+
 def _parse_grid(text: str) -> list[float]:
     """'start:stop:n' -> n log-spaced points; or a comma-separated list."""
     if ":" in text:
-        start, stop, n = text.split(":")
-        return list(np.logspace(math.log10(float(start)), math.log10(float(stop)), int(n)))
-    return [float(x) for x in text.split(",")]
+        try:
+            start, stop, n = text.split(":")
+            return list(np.logspace(math.log10(float(start)), math.log10(float(stop)), int(n)))
+        except ValueError:
+            raise DomainError(
+                f"--grid must be 'start:stop:n' with positive start and stop, got {text!r}"
+            ) from None
+    return _parse_floats(text, "--grid")
+
+
+def _parse_sigma(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DomainError(
+            f"--sigma must be a number, 'auto' or 'improper', got {text!r}"
+        ) from None
 
 
 def _cmd_gains(args) -> int:
@@ -176,13 +201,13 @@ def _cmd_simulate(args) -> int:
     spec = ProblemSpec(horizon=args.T, t_start=args.T0)
     strategy = make_strategy(args.strategy, a=args.a, sigma=args.sigma)
     config = SimConfig(spec=spec, a_true=args.a, dt=args.dt, n_paths=args.paths, seed=args.seed)
-    strategy.check_config(config)
     est = monte_carlo_cost(strategy, config)
     ref = analytic_cost(strategy, config)
-    z = (est.mean - ref) / est.stderr if est.stderr > 0 else math.nan
+    se = est.stderr if math.isfinite(est.stderr) else None  # inf from a single path
+    z = (est.mean - ref) / se if se else None
     result = {
         "mean": est.mean,
-        "stderr": est.stderr,
+        "stderr": se,
         "n_paths": est.n_paths,
         "analytic_reference": ref,
         "z_score": z,
@@ -209,9 +234,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    a_grid = (
-        [float(x) for x in args.a_grid.split(",")] if args.a_grid else list(A_GRID_DEFAULT)
-    )
+    a_grid = _parse_floats(args.a_grid, "--a-grid") if args.a_grid else list(A_GRID_DEFAULT)
     result: dict = {"mode": args.mode, "T": args.T, "T0": args.T0, "a": a_grid}
 
     if args.mode == "additive":
@@ -221,7 +244,7 @@ def _cmd_regret(args) -> int:
         elif args.sigma == "auto":
             raise DomainError("--sigma auto is not defined for additive regret")
         else:
-            prior = GaussianPrior(float(args.sigma))
+            prior = GaussianPrior(_parse_sigma(args.sigma))
         vals = [additive_regret(a, prior, spec) for a in a_grid]
         result["sigma"] = "improper" if prior.is_improper else prior.sigma
         result["additive_regret"] = vals
@@ -236,7 +259,7 @@ def _cmd_regret(args) -> int:
                 raise NoRootError(f"sigma* solve did not converge at T={args.T}")
             sigma = sr.root
         else:
-            sigma = float(args.sigma)
+            sigma = _parse_sigma(args.sigma)
         prior = GaussianPrior(sigma)
         vals = [multiplicative_regret(a, prior, spec) for a in a_grid]
         limit = multiplicative_regret_limit(prior, spec)

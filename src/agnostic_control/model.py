@@ -24,19 +24,21 @@ class ProblemSpec:
     horizon: float
     t_start: float = 0.0
     fuel_weight: float = 1.0
-    noise_scale: float = 1.0  # fixed by normalization; kept explicit for clarity
 
     def __post_init__(self):
+        # written as `not lo <= x` so that NaN fails every check
         if not self.horizon > 0.0:
             raise DomainError(f"horizon must be positive, got {self.horizon}")
         if not 0.0 <= self.t_start < self.horizon:
             raise DomainError(
                 f"t_start must satisfy 0 <= t_start < horizon, got {self.t_start}"
             )
-        if self.fuel_weight < 1.0:
+        if not self.fuel_weight >= 1.0:
             raise DomainError(f"fuel_weight must be >= 1, got {self.fuel_weight}")
-        if self.noise_scale != 1.0:
-            raise DomainError("noise_scale is fixed at 1 by the problem normalization")
+        # e1 <= 2 lambda and e0 <= lambda^{3/2} s = lambda T; this also rejects inf
+        lam = self.fuel_weight
+        if not math.isfinite(2.0 * lam * math.sqrt(lam) * max(1.0, self.horizon)):
+            raise DomainError(f"horizon={self.horizon} and fuel_weight={lam} overflow the gains")
 
     def with_fuel_weight(self, lam: float) -> "ProblemSpec":
         return replace(self, fuel_weight=lam)
@@ -65,7 +67,7 @@ def sech(x: float) -> float:
 
 
 def _check_time(t: float, spec: ProblemSpec) -> None:
-    if t < 0.0 or t > spec.horizon:
+    if not 0.0 <= t <= spec.horizon:
         raise DomainError(f"t={t} outside [0, {spec.horizon}]")
 
 
@@ -106,8 +108,13 @@ def value_known_a(q: float, t: float, a: float, spec: ProblemSpec) -> float:
 
 
 def control_known_a(q: float, t: float, a: float, spec: ProblemSpec) -> float:
-    """Optimal control u = -e2 q - (e1/2) a, at fuel weight 1."""
-    if t < spec.t_start or t > spec.horizon:
+    """Optimal control u = -e2 q - (e1/2) a, at fuel weight 1.
+
+    The one place the control law is written: every strategy applies it
+    with its own drift estimate in place of a (the posterior mean for the
+    Bayesian strategies).  q and a may be arrays of paths.
+    """
+    if not spec.t_start <= t <= spec.horizon:
         raise DomainError(f"t={t} outside [{spec.t_start}, {spec.horizon}]")
     g = own_gains(t, spec)
     return -g.e2 * q - 0.5 * g.e1 * a

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import quad
 
-from .bayes import GaussianPrior
+from .bayes import GaussianPrior, posterior
 from .errors import DomainError, QuadratureError, SingularityError
 from .model import ProblemSpec, gains, own_gains, sech
 
@@ -153,10 +153,7 @@ def bayes_cost(
     if t == spec.horizon:
         return 0.0
     f0, f_sharp = perf_coeffs(t, prior, spec)
-    w = t + prior.precision
-    if w <= 0.0:
-        raise SingularityError("posterior mean undefined at t=0 for the improper prior")
-    a_bar = xi / w
+    a_bar, _ = posterior(xi, t, prior)
     d = a_bar - a
     return g.e2 * q * q + g.e1 * q * a + g.e0 * a * a + f0 * d * d + f_sharp
 

@@ -1,12 +1,14 @@
 """Euler-Maruyama Monte Carlo simulation of dq = (a + u) dt + dW.
 
 Paths are driven by counter-based Philox streams keyed on (seed, path index),
-so results are bit-identical regardless of how paths are chunked or whether
-they run serially or in parallel.  The control is evaluated at the left
-endpoint of each step and is forced to zero during the observation phase
-[0, t_start); the realized cost is the left-endpoint Riemann sum of
-q^2 + u^2 over [t_start, T].  Tests may inject a deterministic noise array
-in place of the generator.
+so results are bit-identical regardless of how paths are chunked.  Every
+strategy is the known-drift law model.control_known_a with a plug-in drift
+estimate (the true a, the posterior mean of a, or no control at all).  The
+control is evaluated at the left endpoint of each step and is forced to zero
+during the observation phase [0, t_start), whose end SimConfig keeps on the
+dt grid; the realized cost is the left-endpoint Riemann sum of q^2 + u^2
+over [t_start, T].  Tests may inject a deterministic noise array in place of
+the generator.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayes import GaussianPrior
+from .bayes import GaussianPrior, posterior
 from .errors import BudgetError, DomainError, NonFiniteError
-from .model import ProblemSpec, own_gains, value_known_a
-from .performance import RegretReport, opponent_cost
+from .model import ProblemSpec, control_known_a, value_known_a
+from .performance import RegretReport, additive_regret, bayes_cost, opponent_cost
 
 MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
@@ -35,19 +37,28 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
-        if self.n_paths < 1:
+        # written as `not ...` so that NaN fails every check
+        if not (self.dt > 0.0 and math.isfinite(self.spec.horizon / self.dt)):
+            raise DomainError(f"dt must be positive with a finite step count, got {self.dt}")
+        if not self.n_paths >= 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
-        n = round(self.spec.horizon / self.dt)
-        if n < 1 or abs(n * self.dt - self.spec.horizon) > 1e-9 * max(1.0, self.spec.horizon):
-            raise DomainError(
-                f"dt={self.dt} does not divide horizon {self.spec.horizon}"
-            )
+        if not math.isfinite(self.a_true):
+            raise DomainError(f"a_true must be finite, got {self.a_true}")
+        horizon, t_start = self.spec.horizon, self.spec.t_start
+        tol = 1e-9 * max(1.0, horizon)
+        if self.n_steps < 1 or abs(self.n_steps * self.dt - horizon) > tol:
+            raise DomainError(f"dt={self.dt} does not divide horizon {horizon}")
+        if abs(self.k_start * self.dt - t_start) > tol:
+            raise DomainError(f"t_start={t_start} is not on the dt={self.dt} grid")
 
     @property
     def n_steps(self) -> int:
         return round(self.spec.horizon / self.dt)
+
+    @property
+    def k_start(self) -> int:
+        """Index of the first controlled step, the grid point at t_start."""
+        return round(self.spec.t_start / self.dt)
 
 
 @dataclass(frozen=True)
@@ -58,65 +69,37 @@ class CostEstimate:
     costs: np.ndarray | None = None
 
 
+@dataclass(frozen=True)
 class Strategy:
-    """Maps (q, xi, t) to a control; vectorized over paths."""
+    """A feedback strategy; build it with make_strategy.
 
-    name = "strategy"
+    Every strategy applies the one known-drift law model.control_known_a and
+    differs only in the drift estimate it plugs in: known_a the true drift a,
+    bayes and bayes_improper the posterior mean of a under their prior.
+    zero_control applies no control.
+    """
 
-    def control(self, q: np.ndarray, xi: np.ndarray, t: float, spec: ProblemSpec):
-        raise NotImplementedError
+    name: str
+    a: float | None = None
+    prior: GaussianPrior | None = None
+
+    def control(self, q, xi, t: float, spec: ProblemSpec):
+        """Control at time t for positions q and statistics xi (arrays of paths)."""
+        if self.name == "zero_control":
+            return np.zeros_like(q)
+        m = self.a if self.prior is None else posterior(xi, t, self.prior)[0]
+        return control_known_a(q, t, m, spec)
 
     def describe(self) -> dict:
-        return {"variant": self.name}
-
-    def check_config(self, config: SimConfig) -> None:
-        pass
-
-
-class ZeroControl(Strategy):
-    name = "zero_control"
-
-    def control(self, q, xi, t, spec):
-        return np.zeros_like(q)
-
-
-class KnownA(Strategy):
-    name = "known_a"
-
-    def __init__(self, a: float):
-        self.a = a
-
-    def control(self, q, xi, t, spec):
-        g = own_gains(t, spec)
-        return -g.e2 * q - 0.5 * g.e1 * self.a
-
-    def describe(self):
-        return {"variant": self.name, "a": self.a}
-
-
-class Bayes(Strategy):
-    """Bayesian control for a Gaussian prior; the improper prior needs t_start > 0."""
-
-    def __init__(self, prior: GaussianPrior):
-        self.prior = prior
-
-    @property
-    def name(self):
-        return "bayes_improper" if self.prior.is_improper else "bayes"
-
-    def control(self, q, xi, t, spec):
-        a_bar = xi / (t + self.prior.precision)
-        g = own_gains(t, spec)
-        return -g.e2 * q - 0.5 * g.e1 * a_bar
-
-    def describe(self):
         d = {"variant": self.name}
-        if not self.prior.is_improper:
+        if self.a is not None:
+            d["a"] = self.a
+        if self.prior is not None and not self.prior.is_improper:
             d["sigma"] = self.prior.sigma
         return d
 
     def check_config(self, config: SimConfig) -> None:
-        if self.prior.is_improper and config.spec.t_start <= 0.0:
+        if self.name == "bayes_improper" and config.spec.t_start <= 0.0:
             raise DomainError("improper-prior strategy requires t_start > 0")
 
 
@@ -124,17 +107,17 @@ def make_strategy(
     variant: str, *, a: float | None = None, sigma: float | None = None
 ) -> Strategy:
     if variant == "zero_control":
-        return ZeroControl()
+        return Strategy(variant)
     if variant == "known_a":
-        if a is None:
-            raise DomainError("known_a strategy needs the true drift a")
-        return KnownA(a)
+        if a is None or not math.isfinite(a):
+            raise DomainError(f"known_a strategy needs a finite true drift a, got {a}")
+        return Strategy(variant, a=a)
     if variant == "bayes":
         if sigma is None:
             raise DomainError("bayes strategy needs a prior width sigma")
-        return Bayes(GaussianPrior(sigma))
+        return Strategy(variant, prior=GaussianPrior(sigma))
     if variant == "bayes_improper":
-        return Bayes(GaussianPrior.improper())
+        return Strategy(variant, prior=GaussianPrior.improper())
     raise DomainError(f"unknown strategy variant {variant!r}")
 
 
@@ -156,23 +139,24 @@ def _run_block(
     noise has shape (n_paths_in_block, n_steps).  The trajectory, recorded
     only for single-path runs, has rows (t, q, xi, u) at each step start.
     """
-    spec = config.spec
     dt = config.dt
     sqrt_dt = math.sqrt(dt)
-    n_steps = config.n_steps
     m = noise.shape[0]
-    t0 = spec.t_start
+    # Control switches on at the grid index of t_start.  k0 * dt may fall an
+    # ulp short of t_start (11 * 0.03 < 0.33), so the law gets the spec
+    # without its observation phase; the gains do not depend on t_start.
+    k0 = config.k_start
+    law_spec = replace(config.spec, t_start=0.0)
 
     q = np.zeros(m)
     xi = np.zeros(m)
     cost = np.zeros(m)
     rows = [] if record else None
 
-    for k in range(n_steps):
+    for k in range(config.n_steps):
         t = k * dt
-        if t >= t0 - 1e-12:
-            u = np.asarray(strategy.control(q, xi, t, spec), dtype=float)
-            u = np.broadcast_to(u, q.shape)
+        if k >= k0:
+            u = strategy.control(q, xi, t, law_spec)
             cost += (q * q + u * u) * dt
         else:
             u = np.zeros(m)
@@ -246,23 +230,19 @@ def analytic_cost(strategy: Strategy, config: SimConfig) -> float:
     spec = config.spec
     a = config.a_true
     t0 = spec.t_start
-    if isinstance(strategy, ZeroControl):
+    if strategy.name == "zero_control":
         # E[q(t)^2] = a^2 t^2 + t under pure drift-plus-noise
         T = spec.horizon
         return a * a * (T ** 3 - t0 ** 3) / 3.0 + (T * T - t0 * t0) / 2.0
-    if isinstance(strategy, KnownA):
+    if strategy.name == "known_a":
         if strategy.a != a:
             raise DomainError("analytic cost for known_a assumes the strategy knows a_true")
         if t0 == 0.0:
             return value_known_a(0.0, 0.0, a, spec)
         return opponent_cost(a, spec)
-    if isinstance(strategy, Bayes):
-        from .performance import additive_regret, bayes_cost
-
-        if t0 == 0.0:
-            return bayes_cost(0.0, 0.0, 0.0, a, strategy.prior, spec)
-        return opponent_cost(a, spec) + additive_regret(a, strategy.prior, spec)
-    raise DomainError(f"no analytic reference for strategy {strategy.name!r}")
+    if t0 == 0.0:
+        return bayes_cost(0.0, 0.0, 0.0, a, strategy.prior, spec)
+    return opponent_cost(a, spec) + additive_regret(a, strategy.prior, spec)
 
 
 def regret_empirical(

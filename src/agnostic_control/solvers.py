@@ -16,15 +16,13 @@ differenced residual.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .bayes import GaussianPrior
-from .errors import NoRootError
+from .errors import DomainError, NoRootError
 from .model import ProblemSpec, gains, own_gains
 from .performance import (
     A_GRID_DEFAULT,
@@ -267,16 +265,6 @@ def certify_constant_mr(
     return max(vals) - min(vals)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("ACL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _solve_point(quantity: str, T: float) -> dict:
     if quantity == "sigma_mr":
         sr = solve_sigma_mr(T)
@@ -299,15 +287,18 @@ def _solve_point(quantity: str, T: float) -> dict:
 
 
 def sweep(quantity: str, t_grid) -> SweepTable:
-    """Solve one quantity over a horizon grid; per-point failures are recorded,
-    never interpolated.  Points run concurrently, merged by grid index."""
+    """Solve one quantity over a horizon grid, point by point in grid order;
+    per-point failures are recorded, never interpolated."""
     if quantity not in ("sigma_mr", "mr_star", "fueltax"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")
     grid = tuple(float(t) for t in t_grid)
     if not grid:
-        raise ValueError("empty horizon grid")
-    if any(t <= 0 for t in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("horizon grid must be positive and strictly increasing")
+        raise DomainError("empty horizon grid")
+    # written as `not lo < x` so that NaN fails the check
+    if not all(0.0 < t < math.inf for t in grid) or not all(
+        a < b for a, b in zip(grid, grid[1:])
+    ):
+        raise DomainError("horizon grid must be positive, finite and strictly increasing")
 
     def solve_one(T: float) -> dict:
         try:
@@ -315,11 +306,9 @@ def sweep(quantity: str, t_grid) -> SweepTable:
         except Exception as exc:  # recorded, sweep continues
             return {"T": T, "error": f"{type(exc).__name__}: {exc}"}
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        records = tuple(pool.map(solve_one, grid))
     return SweepTable(
         quantity=quantity,
         grid=grid,
-        records=records,
+        records=tuple(solve_one(T) for T in grid),
         metadata={"f_tol": 1e-9 if quantity != "fueltax" else 1e-8},
     )

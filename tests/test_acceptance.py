@@ -120,7 +120,7 @@ def test_c6_additive_regret_constancy_and_divergence():
     estimates = {}
     for a in (0.0, 2.0):
         cfg = ac.SimConfig(spec=spec, a_true=a, dt=1e-3, n_paths=10_000, seed=20)
-        est = ac.monte_carlo_cost(ac.Bayes(IMPROPER), cfg)
+        est = ac.monte_carlo_cost(ac.make_strategy("bayes_improper"), cfg)
         estimates[a] = (est.mean - ac.opponent_cost(a, spec), est.stderr)
     for a, (ar, se) in estimates.items():
         assert abs(ar - ar_ref) <= 3 * se, f"a={a}: AR {ar} vs analytic {ar_ref}, se {se}"
@@ -157,10 +157,10 @@ def test_c7_monte_carlo_vs_analytic():
         cfg = ac.SimConfig(spec=spec, a_true=a, dt=1e-3, n_paths=10_000, seed=30)
         for kind, prior in strategies:
             if kind == "known_a":
-                strat = ac.KnownA(a)
+                strat = ac.make_strategy("known_a", a=a)
                 ref = ac.value_known_a(0.0, 0.0, a, spec)
             else:
-                strat = ac.Bayes(prior)
+                strat = ac.make_strategy("bayes", sigma=prior.sigma)
                 ref = ac.bayes_cost(0.0, 0.0, 0.0, a, prior, spec)
             est = ac.monte_carlo_cost(strat, cfg)
             z = abs(est.mean - ref) / est.stderr

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from agnostic_control import (
-    ControlState,
     DomainError,
     GaussianPrior,
     ProblemSpec,
+    SimConfig,
     SingularityError,
-    control_bayes,
     control_known_a,
+    make_strategy,
     posterior,
-    xi_update,
+    simulate_path,
 )
 
 ONE_MINUS_SECH1 = 0.351945726336114600425022646774
@@ -32,92 +32,74 @@ def test_prior_validation():
     assert imp.is_improper and imp.precision == 0.0
 
 
-def test_xi_update_examples():
-    s = xi_update(ControlState(q=0, xi=0, t=0), dq=0.3, u=0.0, dt=0.1)
-    assert s.xi == pytest.approx(0.3)
-    assert s.q == pytest.approx(0.3)
-    assert s.t == pytest.approx(0.1)
-
-    s = xi_update(ControlState(q=2, xi=1, t=0.5), dq=0.05, u=0.5, dt=0.1)
-    assert s.xi == pytest.approx(1.0)
-
-    with pytest.raises(DomainError):
-        xi_update(ControlState(q=0, xi=0, t=0), dq=0.0, u=0.0, dt=0.0)
-
-
 def test_xi_tracks_q_under_zero_control():
-    rng = np.random.default_rng(0)
-    s = ControlState(q=0.0, xi=0.0, t=0.0)
-    for _ in range(500):
-        s = xi_update(s, dq=rng.normal() * 0.1, u=0.0, dt=0.01)
-        assert s.xi == s.q
+    cfg = SimConfig(spec=ProblemSpec(horizon=5.0), a_true=0.3, dt=0.01, n_paths=1)
+    traj, _ = simulate_path(make_strategy("zero_control"), cfg, path_index=4)
+    assert np.all(traj[:, 2] == traj[:, 1])
 
 
 def test_xi_telescoping_identity():
-    # xi(t) == q(t) - q(0) - sum(u dt) along an arbitrary controlled path
-    rng = np.random.default_rng(3)
-    s = ControlState(q=1.5, xi=0.0, t=0.0)
-    q0 = s.q
+    # xi(t) == q(t) - q(0) - sum(u dt) along a controlled path (q(0) = 0)
+    cfg = SimConfig(spec=ProblemSpec(horizon=10.0), a_true=1.5, dt=0.01, n_paths=1, seed=3)
+    traj, _ = simulate_path(make_strategy("bayes", sigma=1.0), cfg)
     u_sum = 0.0
-    for _ in range(1000):
-        u = rng.normal()
-        dq = rng.normal() * 0.05 + u * 0.01
-        s = xi_update(s, dq=dq, u=u, dt=0.01)
-        u_sum += u * 0.01
-        assert abs(s.xi - (s.q - q0 - u_sum)) <= 1e-12
+    for _, q, xi, u in traj:
+        assert abs(xi - (q - u_sum)) <= 1e-12
+        u_sum += u * cfg.dt
 
 
 def test_posterior_examples():
-    assert posterior(ControlState(q=0, xi=0.0, t=2.3), GaussianPrior(0.7))[0] == 0.0
-    mean, var = posterior(ControlState(q=0, xi=1.0, t=1.0), GaussianPrior(1.0))
+    assert posterior(0.0, 2.3, GaussianPrior(0.7))[0] == 0.0
+    mean, var = posterior(1.0, 1.0, GaussianPrior(1.0))
     assert mean == pytest.approx(0.5)
     assert var == pytest.approx(0.5)
-    mean, _ = posterior(ControlState(q=0, xi=2.0, t=4.0), GaussianPrior.improper())
+    mean, _ = posterior(2.0, 4.0, GaussianPrior.improper())
     assert mean == pytest.approx(0.5)
 
 
 def test_posterior_improper_singular_at_zero():
     with pytest.raises(SingularityError):
-        posterior(ControlState(q=0, xi=0.0, t=0.0), GaussianPrior.improper())
+        posterior(0.0, 0.0, GaussianPrior.improper())
 
 
 def test_posterior_limits():
-    state = ControlState(q=0, xi=1.3, t=0.7)
-    wide, _ = posterior(state, GaussianPrior(1e6))
+    wide, _ = posterior(1.3, 0.7, GaussianPrior(1e6))
     assert wide == pytest.approx(1.3 / 0.7, rel=1e-5)
-    narrow, _ = posterior(state, GaussianPrior(1e-6))
+    narrow, _ = posterior(1.3, 0.7, GaussianPrior(1e-6))
     assert abs(narrow) <= 1e-5
 
 
 def test_control_bayes_examples():
     spec = ProblemSpec(horizon=1.0)
-    assert control_bayes(ControlState(q=0, xi=0, t=0.5), GaussianPrior(1.0), spec) == 0.0
-    u = control_bayes(ControlState(q=1, xi=0, t=0.0), GaussianPrior(1.0), spec)
+    bayes = make_strategy("bayes", sigma=1.0)
+    assert bayes.control(0.0, 0.0, 0.5, spec) == 0.0
+    u = bayes.control(1.0, 0.0, 0.0, spec)
     assert u == pytest.approx(-math.tanh(1.0), rel=1e-14)
 
     spec2 = ProblemSpec(horizon=2.0, t_start=0.5)
-    u = control_bayes(ControlState(q=0, xi=1, t=1.0), GaussianPrior.improper(), spec2)
+    u = make_strategy("bayes_improper").control(0.0, 1.0, 1.0, spec2)
     assert u == pytest.approx(-ONE_MINUS_SECH1, rel=1e-14)
 
 
 def test_control_bayes_domain():
     spec = ProblemSpec(horizon=1.0, t_start=0.2)
+    bayes = make_strategy("bayes", sigma=1.0)
     with pytest.raises(DomainError):
-        control_bayes(ControlState(q=0, xi=0, t=0.1), GaussianPrior(1.0), spec)
+        bayes.control(0.0, 0.0, 0.1, spec)
     with pytest.raises(DomainError):
-        control_bayes(ControlState(q=0, xi=0, t=1.5), GaussianPrior(1.0), spec)
+        bayes.control(0.0, 0.0, 1.5, spec)
 
 
 def test_dirac_prior_matches_known_zero_drift():
     # a near-certain prior at 0 reproduces the known-a control with a=0
     spec = ProblemSpec(horizon=2.0)
-    prior = GaussianPrior(1e-8)
+    bayes = make_strategy("bayes", sigma=1e-8)
     rng = np.random.default_rng(5)
     for _ in range(20):
         q = rng.normal() * 2
         xi = rng.normal()
         t = rng.uniform(0, 1.9)
-        u = control_bayes(ControlState(q=q, xi=xi, t=t), prior, spec)
+        u = bayes.control(q, xi, t, spec)
         assert u == pytest.approx(control_known_a(q, t, 0.0, spec), abs=1e-6)
 
 
@@ -130,7 +112,7 @@ def test_xi_diffuses_like_drifted_brownian_motion():
     spec = ProblemSpec(horizon=1.0)
     a = 0.7
     cfg = ac.SimConfig(spec=spec, a_true=a, dt=1e-2, n_paths=10_000, seed=11)
-    strategy = ac.KnownA(-1.3)
+    strategy = ac.make_strategy("known_a", a=-1.3)
 
     n_steps = cfg.n_steps
     xis = np.empty(cfg.n_paths)

@@ -183,3 +183,29 @@ def test_regret_additive_requires_t0(capsys):
 def test_usage_error_exit_2(capsys):
     code, _, _ = run_cli(capsys, "gains", "--T", "1")  # missing --t
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["figures", "--which", "1", "--grid", "2,1", "--out", "unused"],
+    ["figures", "--which", "1", "--grid", "abc", "--out", "unused"],
+    ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "x"],
+    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "foo"],
+    ["simulate", "--strategy", "known_a", "--a", "nan", "--T", "1", "--dt", "0.1",
+     "--paths", "10"],
+])
+def test_bad_input_exit_2_without_traceback(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+
+
+def test_simulate_one_path_prints_null_stderr(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--strategy", "bayes", "--sigma", "1.5", "--a", "1", "--T", "2",
+        "--dt", "0.01", "--paths", "1",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["stderr"] is None and data["z_score"] is None
+    assert data["n_paths"] == 1

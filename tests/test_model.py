@@ -1,13 +1,17 @@
 """Closed-form gain schedule and known-drift value/control."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agnostic_control import (
     DomainError,
     ProblemSpec,
+    SimConfig,
     control_known_a,
     gains,
     value_known_a,
@@ -161,3 +165,21 @@ def test_spec_validation():
         ProblemSpec(horizon=1.0, t_start=-0.1)
     with pytest.raises(DomainError):
         ProblemSpec(horizon=1.0, fuel_weight=0.5)
+
+
+@settings(deadline=None)
+@given(
+    field=st.sampled_from(["horizon", "t_start", "fuel_weight", "t", "dt", "a_true"]),
+    x=st.floats(),  # NaN and +-inf included
+)
+def test_any_float_is_accepted_with_finite_gains_or_rejected(field, x):
+    kw = dict(horizon=2.0, t_start=0.5, fuel_weight=1.5, t=0.0, dt=0.01, a_true=1.0)
+    kw[field] = x
+    try:
+        spec = ProblemSpec(kw["horizon"], kw["t_start"], kw["fuel_weight"])
+        g = gains(kw["t"], spec)
+    except DomainError:
+        return
+    assert all(math.isfinite(v) for v in (g.e2, g.e1, g.e0, g.e_sharp))
+    with contextlib.suppress(DomainError):
+        SimConfig(spec=spec, a_true=kw["a_true"], dt=kw["dt"])
