@@ -10,7 +10,7 @@ class SingularityError(DomainError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """The F0/F# quadrature rule and its half-node check disagree beyond tolerance."""
 
 
 class NoRootError(RuntimeError):

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import DomainError
 
 _LOG2 = math.log(2.0)
@@ -55,15 +57,22 @@ class GainSchedule:
 
 
 def log_cosh(x: float) -> float:
+    # cosh x = 1 + 2 sinh^2(x/2) keeps full precision for small |x|;
     # |x| - log 2 + log1p(e^{-2|x|}) avoids overflow of cosh for large |x|
     ax = abs(x)
+    if ax < 1.0:
+        return math.log1p(2.0 * math.sinh(0.5 * ax) ** 2)
     return ax - _LOG2 + math.log1p(math.exp(-2.0 * ax))
 
 
-def sech(x: float) -> float:
-    ax = abs(x)
-    e = math.exp(-ax)
-    return 2.0 * e / (1.0 + e * e)
+def e1_unit(s):
+    """E1 at fuel weight 1 and remaining time s: 2 (1 - sech s) = 2 tanh s tanh(s/2).
+
+    The product form keeps full relative precision as s -> 0, where
+    1 - sech s cancels.  s may be a float or a numpy array.
+    """
+    tanh = math.tanh if isinstance(s, float) else np.tanh
+    return 2.0 * tanh(s) * tanh(0.5 * s)
 
 
 def _check_time(t: float, spec: ProblemSpec) -> None:
@@ -88,7 +97,7 @@ def gains(t: float, spec: ProblemSpec) -> GainSchedule:
     th = math.tanh(s)
     return GainSchedule(
         e2=sqrt_lam * th,
-        e1=2.0 * lam * (1.0 - sech(s)),
+        e1=lam * e1_unit(s),
         e0=lam * sqrt_lam * (s - th),
         e_sharp=lam * log_cosh(s),
     )

@@ -11,8 +11,8 @@ with (writing p = sigma^-2, p = 0 for the improper prior)
     F#(t) = e_sharp(t) + int_t^T (tau - t) e1(tau)^2 / (4 (tau+p)^2) dtau.
 
 The F# form follows from swapping the order of integration in its defining
-double integral; an independent backward RK4 integration of the coefficient
-ODEs is provided as a cross-check (perf_coeffs_rk4).
+double integral.  perf_coeffs evaluates both by Gauss-Legendre quadrature;
+the independent cross-check perf_coeffs_rk4 integrates the coefficient ODEs.
 
 From these come the three regret functionals: additive regret (requires an
 observation phase t_start > 0), multiplicative regret (competitive ratio,
@@ -27,18 +27,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .bayes import GaussianPrior, posterior
 from .errors import DomainError, QuadratureError, SingularityError
-from .model import ProblemSpec, gains, own_gains, sech
+from .model import ProblemSpec, _check_time, e1_unit, gains, log_cosh, own_gains
 
 #: Default symmetric drift grid: covers both the small-a (F#-dominated) and
 #: large-a (F0-dominated) regimes; all regret formulas depend on a^2 only.
 A_GRID_DEFAULT = (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
 
-_QUAD_EPSREL = 1e-10
-_QUAD_EPSABS = 1e-14
+#: Nodes and weights on [-1, 1] of the 48-point Gauss-Legendre rule followed by
+#: those of the 24-point rule: one evaluation of an integrand at _NODES gives
+#: both sums, and their difference is the error estimate.
+_N_NODES = 48
+_NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_N_NODES), leggauss(_N_NODES // 2)))
+_PANEL_EDGES = np.linspace(0.0, 1.0, 9)  # 8 equal panels per segment
+#: Remaining time s = T - tau beyond which e1 is flat (1 - sech 20 = 1 - 4e-9).
+_S_EDGE = 20.0
+#: Relative disagreement of the two rules above which the result is refused.
+_EST_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,52 +63,41 @@ class RegretReport:
     multiplicative_se: tuple[float, ...] | None = None
 
 
-def _e1_sq(tau: float, horizon: float) -> float:
-    e1 = 2.0 * (1.0 - sech(horizon - tau))
-    return e1 * e1
-
-
-def _quad(f, lo: float, hi: float) -> float:
-    if hi <= lo:
-        return 0.0
-    val, abserr = quad(f, lo, hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)
-    if abserr > max(_QUAD_EPSREL * abs(val), 100.0 * _QUAD_EPSABS):
-        raise QuadratureError(
-            f"quadrature error estimate {abserr} too large for value {val}"
-        )
-    return val
-
-
 @lru_cache(maxsize=16384)
 def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, float]:
-    # Substitute v = log(tau + p): d tau / (tau + p)^2 = e^{-v} dv.  The raw
-    # integrand has a near-singular 1/(tau+p)^2 peak when p is tiny; in log
-    # coordinates it is smooth for every prior width.
-    p = precision
-    lo = math.log(t + p)
-    hi = math.log(horizon + p)
-
-    def i0_integrand(v: float) -> float:
-        tau = math.exp(v) - p
-        return _e1_sq(tau, horizon) * 0.25 * math.exp(-v)
-
-    i0 = _quad(i0_integrand, lo, hi)
-    f0 = (t + p) ** 2 * i0
-
-    def tail_integrand(v: float) -> float:
-        tau = math.exp(v) - p
-        return (tau - t) * _e1_sq(tau, horizon) * 0.25 * math.exp(-v)
-
-    tail = _quad(tail_integrand, lo, hi)
-    e_sharp = gains(t, ProblemSpec(horizon=horizon)).e_sharp
-    f_sharp = e_sharp + tail
-    return f0, f_sharp
+    # In w = log1p((tau - t)/c), c = t + p, with x = expm1(w) = (tau - t)/c (no
+    # cancellation) and d tau / (tau + p)^2 = dw / (c (1 + x)), the integrands
+    #     F0 = c int e1^2/4 / (1 + x) dw,   F# - e_sharp = int e1^2/4 x / (1 + x) dw
+    # are smooth in w for every prior width.
+    span = horizon - t
+    if span == 0.0:
+        return 0.0, 0.0
+    c = t + precision
+    # Near the horizon e1 rises over s ~ 1, so the panels there are equal in
+    # tau (mapped to w) up to s = 20; beyond, e1 is flat and they are equal in w.
+    s_near = min(span, _S_EDGE)
+    panels = np.log1p((span - s_near + s_near * _PANEL_EDGES) / c)
+    if span > _S_EDGE:
+        panels = np.concatenate([panels[0] * _PANEL_EDGES[:-1], panels])
+    half = 0.5 * np.diff(panels)
+    x = np.expm1(panels[:-1, None] + half[:, None] * (1.0 + _NODES))
+    g = 0.25 * e1_unit(span - c * x) ** 2 / (1.0 + x)
+    terms = half @ np.stack([g, g * x]) * _WEIGHTS
+    (i0, tail), (i0_half, tail_half) = terms[:, :_N_NODES].sum(1), terms[:, _N_NODES:].sum(1)
+    f_sharp = log_cosh(span) + tail
+    # written as `not x <= tol` so that NaN fails the check
+    if not (abs(i0 - i0_half) <= _EST_RTOL * i0 and abs(tail - tail_half) <= _EST_RTOL * f_sharp):
+        raise QuadratureError(
+            f"{_N_NODES}- and {_N_NODES // 2}-node rules disagree at t={t}, precision="
+            f"{precision}, T={horizon}: I0 {i0} vs {i0_half}, tail {tail} vs {tail_half}"
+        )
+    return float(c * i0), float(f_sharp)
 
 
 def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
-    """(F0(t), F#(t)) for the given prior, by adaptive quadrature."""
-    if t < 0.0 or t > spec.horizon:
-        raise DomainError(f"t={t} outside [0, {spec.horizon}]")
+    """(F0(t), F#(t)) for the given prior, by composite Gauss-Legendre quadrature;
+    QuadratureError when the rule at half the nodes disagrees by over 1e-10 relative."""
+    _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
     return _coeffs_cached(float(t), prior.precision, spec.horizon)
@@ -117,8 +114,7 @@ def perf_coeffs_rk4(
     integrated from t=T (where both vanish) down to t.  Used to cross-check
     perf_coeffs; the two must agree to ~1e-8 relative.
     """
-    if t < 0.0 or t > spec.horizon:
-        raise DomainError(f"t={t} outside [0, {spec.horizon}]")
+    _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("improper-prior coefficients undefined at t=0")
     p = prior.precision
@@ -145,10 +141,16 @@ def perf_coeffs_rk4(
     return float(y[0]), float(y[1])
 
 
+def _check_drift(a: float) -> None:
+    if not math.isfinite(a):
+        raise DomainError(f"drift a must be finite, got {a}")
+
+
 def bayes_cost(
     q: float, xi: float, t: float, a: float, prior: GaussianPrior, spec: ProblemSpec
 ) -> float:
     """Expected cost-to-go of the Bayesian strategy when the true drift is a."""
+    _check_drift(a)
     g = own_gains(t, spec)
     if t == spec.horizon:
         return 0.0
@@ -164,6 +166,7 @@ def additive_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
     Requires an observation phase t_start > 0 (the regret diverges as
     t_start -> 0).  For the improper prior the result is independent of a.
     """
+    _check_drift(a)
     t0 = spec.t_start
     if t0 <= 0.0:
         raise DomainError("additive regret requires t_start > 0 (it diverges at 0)")
@@ -177,15 +180,11 @@ def additive_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
 
 
 def multiplicative_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """Competitive ratio of the Bayesian strategy vs the informed opponent, t_start=0."""
-    if spec.t_start != 0.0:
-        raise DomainError("multiplicative regret is defined for t_start = 0")
+    """Competitive ratio of the Bayesian strategy vs the informed opponent, t_start=0:
+    the fuel-tax ratio against an untaxed opponent."""
     if prior.is_improper:
         raise DomainError("multiplicative regret needs a proper prior (t_start = 0)")
-    g = own_gains(0.0, spec)
-    f0, f_sharp = perf_coeffs(0.0, prior, spec)
-    a2 = a * a
-    return ((g.e0 + f0) * a2 + f_sharp) / (g.e0 * a2 + g.e_sharp)
+    return fueltax_ratio(a, prior, 1.0, spec)
 
 
 def multiplicative_regret_limit(prior: GaussianPrior, spec: ProblemSpec) -> float:
@@ -201,11 +200,10 @@ def fueltax_ratio(
     a: float, prior: GaussianPrior, lambda_opp: float, spec: ProblemSpec
 ) -> float:
     """Ratio of our (untaxed) Bayesian cost to the informed opponent's cost
-    at fuel weight lambda_opp, both from (q=0, t=0)."""
+    at fuel weight lambda_opp >= 1 (checked by ProblemSpec), both from (q=0, t=0)."""
+    _check_drift(a)
     if spec.t_start != 0.0:
-        raise DomainError("fuel-tax ratio is defined for t_start = 0")
-    if lambda_opp < 1.0:
-        raise DomainError(f"opponent fuel weight must be >= 1, got {lambda_opp}")
+        raise DomainError("fuel-tax and multiplicative ratios are defined for t_start = 0")
     g1 = own_gains(0.0, spec)
     f0, f_sharp = perf_coeffs(0.0, prior, spec)
     g_lam = gains(0.0, spec.with_fuel_weight(lambda_opp))
@@ -219,6 +217,7 @@ def opponent_cost(a: float, spec: ProblemSpec, fuel_weight: float = 1.0) -> floa
     The opponent also observes only on [0, t_start]; its cost is the
     expectation of the known-a value function over q(t_start) ~ N(a t0, t0).
     """
+    _check_drift(a)
     t0 = spec.t_start
     g = gains(t0, spec.with_fuel_weight(fuel_weight))
     return (

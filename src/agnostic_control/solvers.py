@@ -144,20 +144,10 @@ def _scan_bracket(
     raise err
 
 
-def _mr_residual(sigma: float, spec: ProblemSpec) -> float:
-    # constancy condition: (e0 + F0)/e0 == F#/e_sharp at t=0
-    g = own_gains(0.0, spec)
-    f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
-    return (g.e0 + f0) / g.e0 - f_sharp / g.e_sharp
-
-
 def solve_sigma_mr(T: float, *, f_tol: float = 1e-9) -> SolveResult:
-    """Prior width sigma* making the competitive ratio independent of the drift."""
-    spec = ProblemSpec(horizon=T)
-    resid = lambda s: _mr_residual(s, spec)
-    xs = np.logspace(math.log10(SIGMA_SCAN_LO), math.log10(SIGMA_SCAN_HI), 31)
-    lo, hi, _ = _scan_bracket(resid, xs)
-    return find_root(resid, lo, hi, f_tol=f_tol, log_space=True)
+    """Prior width sigma* making the competitive ratio independent of the drift:
+    the fuel-tax constancy condition against an untaxed opponent (lambda = 1)."""
+    return _solve_sigma_fueltax(T, 1.0, f_tol=f_tol)
 
 
 def worst_case_mr(T: float, sigma: float | None = None) -> float:
@@ -179,9 +169,7 @@ def worst_case_mr(T: float, sigma: float | None = None) -> float:
         _, f_sharp = perf_coeffs(0.0, prior, spec)
         return f_sharp / g.e_sharp
     prior = GaussianPrior(sigma)
-    vals = [multiplicative_regret(a, prior, spec) for a in A_GRID_DEFAULT]
-    vals.append(multiplicative_regret_limit(prior, spec))
-    return max(vals)
+    return max(multiplicative_regret(0.0, prior, spec), multiplicative_regret_limit(prior, spec))
 
 
 def _fueltax_residual(sigma: float, lam: float, spec: ProblemSpec) -> float:

@@ -99,6 +99,18 @@ def test_lambda_one_matches_plain_forms():
         assert abs(g.e_sharp - math.log(math.cosh(s))) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-2, 1.0, 30.0])
+def test_e1_and_esharp_keep_relative_precision_near_horizon(s):
+    # 1 - sech s and log cosh s cancel as s -> 0; the absolute checks above cannot see it
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e1_ref = float(2 * (1 - mpmath.sech(s)))
+        e_sharp_ref = float(mpmath.log(mpmath.cosh(s)))
+    g = gains(0.0, ProblemSpec(horizon=s))
+    assert abs(g.e1 - e1_ref) <= 1e-14 * e1_ref
+    assert abs(g.e_sharp - e_sharp_ref) <= 1e-14 * e_sharp_ref
+
+
 def test_value_examples():
     spec = ProblemSpec(horizon=1.0)
     assert value_known_a(3.7, 1.0, -2.0, spec) == 0.0

@@ -1,6 +1,9 @@
 """F0/F# coefficients and the three regret functionals."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from agnostic_control import (
     DomainError,
     GaussianPrior,
     ProblemSpec,
+    QuadratureError,
     SingularityError,
     additive_regret,
     bayes_cost,
@@ -21,6 +25,7 @@ from agnostic_control import (
     perf_coeffs_rk4,
     value_known_a,
 )
+from agnostic_control import performance
 
 IMPROPER = GaussianPrior.improper()
 
@@ -43,7 +48,7 @@ def test_coeffs_nonnegative_and_dominate_esharp():
 
 
 def test_dual_method_agreement():
-    # adaptive quadrature vs backward RK4 on the coefficient ODEs
+    # Gauss-Legendre quadrature vs backward RK4 on the coefficient ODEs
     for T in (1.0, 2.0, 8.0):
         spec = ProblemSpec(horizon=T)
         for prior in (GaussianPrior(0.3), GaussianPrior(1.0), GaussianPrior(3.0), IMPROPER):
@@ -57,13 +62,92 @@ def test_dual_method_agreement():
 
 def test_f0_at_zero_matches_direct_quadrature():
     # independent direct evaluation of the defining integral, sigma = 1, T = 1
-    from scipy.integrate import quad
+    mpmath = pytest.importorskip("mpmath")
 
     spec = ProblemSpec(horizon=1.0)
-    e1 = lambda tau: 2.0 * (1.0 - 1.0 / math.cosh(1.0 - tau))
-    direct, _ = quad(lambda tau: e1(tau) ** 2 / (4.0 * (tau + 1.0) ** 2), 0.0, 1.0)
+    e1 = lambda tau: 2.0 * (1.0 - mpmath.sech(1.0 - tau))
+    direct = mpmath.quad(lambda tau: e1(tau) ** 2 / (4.0 * (tau + 1.0) ** 2), [0.0, 1.0])
     f0, _ = perf_coeffs(0.0, GaussianPrior(1.0), spec)
-    assert f0 == pytest.approx(direct, rel=1e-9)
+    assert f0 == pytest.approx(float(direct), rel=1e-9)
+
+
+def _coeffs_mpmath(mpmath, t, sigma, T):
+    """(F0, F#) from the defining tau-space integrals at 30 digits, split at
+    t + (t+p) 10^k (the 1/(tau+p)^2 peak) and at T - 20, T - 5, T - 1 (the
+    rise of e1 near the horizon)."""
+    with mpmath.workdps(30):
+        t, T = mpmath.mpf(t), mpmath.mpf(T)
+        p = 0 if math.isinf(sigma) else 1 / mpmath.mpf(sigma) ** 2
+        c = t + p
+        f = lambda tau: (1 - mpmath.sech(T - tau)) ** 2 / (tau + p) ** 2
+        cuts = [t + c * mpmath.mpf(10) ** k for k in range(-2, 8)] + [T - s for s in (20, 5, 1)]
+        pts = [t] + sorted(x for x in cuts if t < x < T) + [T]
+        f0 = c * c * mpmath.quad(f, pts)
+        f_sharp = mpmath.log(mpmath.cosh(T - t)) + mpmath.quad(lambda tau: (tau - t) * f(tau), pts)
+        return float(f0), float(f_sharp)
+
+
+@pytest.mark.parametrize(
+    "t, sigma, T",
+    [
+        (0.0, 1.0, 1.0),
+        (0.0, 1e-3, 0.1),
+        (0.107, 1e-3, 0.119),
+        (0.025, 0.0018, 0.05),
+        (0.04995, 1.0, 0.05),
+        (0.0, 100.0, 2.0),
+        (1.0, math.inf, 8.0),
+        (0.0, 1e3, 20.0),
+        (15.0, 0.05, 50.0),
+        (0.0, 0.3, 5000.0),
+        (1500.0, math.inf, 5000.0),
+    ],
+)
+def test_coeffs_match_mpmath(t, sigma, T):
+    mpmath = pytest.importorskip("mpmath")
+    got = perf_coeffs(t, GaussianPrior(sigma), ProblemSpec(horizon=T))
+    for value, ref in zip(got, _coeffs_mpmath(mpmath, t, sigma, T)):
+        assert abs(value - ref) <= 1e-12 * ref
+
+
+def test_disagreeing_half_node_rule_raises(monkeypatch):
+    perturbed = performance._WEIGHTS.copy()
+    perturbed[performance._N_NODES :] *= 1.0 + 1e-6  # the half-node rule's weights
+    monkeypatch.setattr(performance, "_WEIGHTS", perturbed)
+    with pytest.raises(QuadratureError):
+        perf_coeffs(0.0, GaussianPrior(1.25), ProblemSpec(horizon=1.75))
+
+
+def test_import_loads_no_dependency_but_numpy():
+    # numpy is the one run-time dependency; nothing else outside the standard
+    # library may load with the package
+    src = os.path.dirname(os.path.dirname(performance.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys; before = set(sys.modules); import agnostic_control; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before} - set(sys.stdlib_module_names)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "['agnostic_control', 'numpy']"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, prior: perf_coeffs(math.nan, prior, spec),
+        lambda spec, prior: perf_coeffs_rk4(math.nan, prior, spec),
+        lambda spec, prior: bayes_cost(0.1, 0.2, 0.5, math.nan, prior, spec),
+        lambda spec, prior: additive_regret(math.inf, prior, ProblemSpec(horizon=2.0, t_start=0.5)),
+        lambda spec, prior: multiplicative_regret(math.nan, prior, spec),
+        lambda spec, prior: fueltax_ratio(-math.inf, prior, 2.0, spec),
+        lambda spec, prior: opponent_cost(math.nan, spec),
+    ],
+    ids=["perf_coeffs-t", "perf_coeffs_rk4-t", "bayes_cost-a", "additive_regret-a",
+         "multiplicative_regret-a", "fueltax_ratio-a", "opponent_cost-a"],
+)
+def test_non_finite_input_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call(ProblemSpec(horizon=2.0), GaussianPrior(1.0))
 
 
 def test_improper_singular_at_zero():
