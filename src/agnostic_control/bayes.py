@@ -28,6 +28,10 @@ class GaussianPrior:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive (or inf), got {self.sigma}")
+        try:
+            self.sigma ** -4  # the squared precision, which the additive regret forms
+        except OverflowError:
+            raise DomainError(f"sigma={self.sigma} is too small: sigma^-4 overflows") from None
 
     @classmethod
     def improper(cls) -> "GaussianPrior":

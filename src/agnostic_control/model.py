@@ -10,6 +10,7 @@ weight lambda via the rescaled remaining time s = (T - t) / sqrt(lambda).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,10 @@ import numpy as np
 from .errors import DomainError
 
 _LOG2 = math.log(2.0)
+_FLOAT_MIN = sys.float_info.min  # the smallest normal float
+#: 2n/(2n+1)! for n = 1..7: the Taylor coefficients of (s cosh s - sinh s)/s^3
+#: in powers of s^2.  At s < 0.5 the terms left out add under 1e-17 relative.
+_S_COSH_MINUS_SINH = tuple(2 * n / math.factorial(2 * n + 1) for n in range(1, 8))
 
 
 @dataclass(frozen=True)
@@ -35,12 +40,21 @@ class ProblemSpec:
             raise DomainError(
                 f"t_start must satisfy 0 <= t_start < horizon, got {self.t_start}"
             )
+        # the regrets divide by t_start, and 1/t_start overflows below the normal range
+        if 0.0 < self.t_start < _FLOAT_MIN:
+            raise DomainError(f"t_start={self.t_start} is subnormal; use 0 or a normal float")
         if not self.fuel_weight >= 1.0:
             raise DomainError(f"fuel_weight must be >= 1, got {self.fuel_weight}")
         # e1 <= 2 lambda and e0 <= lambda^{3/2} s = lambda T; this also rejects inf
         lam = self.fuel_weight
         if not math.isfinite(2.0 * lam * math.sqrt(lam) * max(1.0, self.horizon)):
             raise DomainError(f"horizon={self.horizon} and fuel_weight={lam} overflow the gains")
+        # e0 ~ T^3/3 at t = 0 divides the regret ratios.  It is a normal float
+        # for every T >= 1e-100 and leaves that range near T = 4.1e-103.
+        if self.horizon < 1e-100:
+            e0 = lam * math.sqrt(lam) * _s_minus_tanh_small(self.horizon / math.sqrt(lam))
+            if not e0 >= _FLOAT_MIN:
+                raise DomainError(f"horizon={self.horizon} is too short: the gain e0 underflows")
 
     def with_fuel_weight(self, lam: float) -> "ProblemSpec":
         return replace(self, fuel_weight=lam)
@@ -63,6 +77,16 @@ def log_cosh(x: float) -> float:
     if ax < 1.0:
         return math.log1p(2.0 * math.sinh(0.5 * ax) ** 2)
     return ax - _LOG2 + math.log1p(math.exp(-2.0 * ax))
+
+
+def _s_minus_tanh_small(s: float) -> float:
+    """s - tanh s for 0 <= s < 0.5, where the difference loses digits: formed
+    as (s cosh s - sinh s) / cosh s, the numerator from its Taylor series,
+    whose terms are all positive."""
+    c1, c2, c3, c4, c5, c6, c7 = _S_COSH_MINUS_SINH
+    z = s * s
+    numerator = s * z * (c1 + z * (c2 + z * (c3 + z * (c4 + z * (c5 + z * (c6 + z * c7))))))
+    return numerator / math.cosh(s)
 
 
 def e1_unit(s):
@@ -95,10 +119,12 @@ def gains(t: float, spec: ProblemSpec) -> GainSchedule:
     sqrt_lam = math.sqrt(lam)
     s = (spec.horizon - t) / sqrt_lam
     th = math.tanh(s)
+    # the subtraction loses digits as s -> 0; at s >= 0.5 it is within 3e-15 relative
+    s_minus_th = s - th if s >= 0.5 else _s_minus_tanh_small(s)
     return GainSchedule(
         e2=sqrt_lam * th,
         e1=lam * e1_unit(s),
-        e0=lam * sqrt_lam * (s - th),
+        e0=lam * sqrt_lam * s_minus_th,
         e_sharp=lam * log_cosh(s),
     )
 

@@ -9,6 +9,12 @@ during the observation phase [0, t_start), whose end SimConfig keeps on the
 dt grid; the realized cost is the left-endpoint Riemann sum of q^2 + u^2
 over [t_start, T].  Tests may inject a deterministic noise array in place of
 the generator.
+
+monte_carlo_cost works through the paths in blocks of _CHUNK.  The calling
+thread draws the first block's noise; while it steps block c, one helper
+thread draws block c + 1 (numpy's normal sampler releases the GIL).  So at
+most two blocks are in memory, and the noise and the step order are those
+of a serial run.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ class SimConfig:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if not math.isfinite(self.a_true):
             raise DomainError(f"a_true must be finite, got {self.a_true}")
+        if not 0 <= self.seed < 2 ** 64:  # the first word of every path's Philox key
+            raise DomainError(f"seed must be in [0, 2**64), got {self.seed}")
         horizon, t_start = self.spec.horizon, self.spec.t_start
         tol = 1e-9 * max(1.0, horizon)
         if self.n_steps < 1 or abs(self.n_steps * self.dt - horizon) > tol:
@@ -121,11 +129,28 @@ def make_strategy(
     raise DomainError(f"unknown strategy variant {variant!r}")
 
 
+def _fill_noise(out: np.ndarray, seed: int, first: int) -> None:
+    """Fill row r of out with the standard-normal increments of path first + r.
+
+    Each path has its own Philox stream, keyed on (seed, path index) with the
+    counter at 0.  One generator serves every row: resetting its state to the
+    row's key gives the draws of a fresh generator without building one.
+    """
+    bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0 and an empty buffer
+    key = state["state"]["key"]
+    for r, row in enumerate(out):
+        key[1] = first + r
+        bitgen.state = state
+        rng.standard_normal(out=row)
+
+
 def path_noise(seed: int, path_index: int, n_steps: int) -> np.ndarray:
     """Standard-normal increments for one path from its own Philox stream."""
-    key = np.array([seed, path_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal(n_steps)
+    out = np.empty((1, n_steps))
+    _fill_noise(out, seed, path_index)
+    return out[0]
 
 
 def _run_block(
@@ -209,17 +234,32 @@ def monte_carlo_cost(
     strategy: Strategy, config: SimConfig, keep_costs: bool = False
 ) -> CostEstimate:
     """Mean realized cost and its standard error over independent paths."""
+    from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
+
     strategy.check_config(config)
     _check_budget(config)
-    n_steps = config.n_steps
-    costs = np.empty(config.n_paths)
-    for start in range(0, config.n_paths, _CHUNK):
-        stop = min(start + _CHUNK, config.n_paths)
-        noise = np.empty((stop - start, n_steps))
-        for i in range(start, stop):
-            noise[i - start] = path_noise(config.seed, i, n_steps)
-        block_costs, _, _, _ = _run_block(strategy, config, noise)
-        costs[start:stop] = block_costs
+    n_paths = config.n_paths
+    costs = np.empty(n_paths)
+    # Two block buffers, reused: the helper fills one while this thread steps the other.
+    shape = (min(_CHUNK, n_paths), config.n_steps)
+    buffers = (np.empty(shape), np.empty(shape) if n_paths > _CHUNK else None)
+
+    def draw(start: int) -> np.ndarray:
+        noise = buffers[start // _CHUNK % 2][:n_paths - start]
+        _fill_noise(noise, config.seed, start)
+        return noise
+
+    # The helper thread starts with the second block; leaving the with-block,
+    # on success or error, waits for it.
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        noise = draw(0)
+        for start in range(0, n_paths, _CHUNK):
+            following = start + _CHUNK
+            pending = helper.submit(draw, following) if following < n_paths else None
+            block_costs, _, _, _ = _run_block(strategy, config, noise)
+            costs[start:following] = block_costs
+            if pending is not None:
+                noise = pending.result()
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else math.inf
     return CostEstimate(mean, se, config.n_paths, costs if keep_costs else None)

@@ -25,6 +25,9 @@ def test_prior_validation():
         GaussianPrior(0.0)
     with pytest.raises(DomainError):
         GaussianPrior(-1.0)
+    for sigma in (1e-200, 1e-100):  # the precision, or its square, overflows
+        with pytest.raises(DomainError):
+            GaussianPrior(sigma)
     p = GaussianPrior(2.0)
     assert p.precision == 0.25
     assert not p.is_improper

@@ -1,9 +1,13 @@
 """CLI surface: schemas, exit codes, reproducibility, thin-shell guarantee."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from agnostic_control import ProblemSpec, gains
 from agnostic_control.cli import main
@@ -192,6 +196,9 @@ def test_usage_error_exit_2(capsys):
     ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "foo"],
     ["simulate", "--strategy", "known_a", "--a", "nan", "--T", "1", "--dt", "0.1",
      "--paths", "10"],
+    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e-200"],
+    ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "1e-100"],
+    ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "0,1e200"],
 ])
 def test_bad_input_exit_2_without_traceback(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -209,3 +216,37 @@ def test_simulate_one_path_prints_null_stderr(capsys):
     data = json.loads(out)
     assert data["stderr"] is None and data["z_score"] is None
     assert data["n_paths"] == 1
+
+
+_EXTREME = ["0", "-1", "5e-324", "1e-200", "1e-8", "0.5", "2", "1e300", "inf", "nan", "x"]
+
+
+@st.composite
+def _argv(draw):
+    value = st.sampled_from(_EXTREME)
+    mode = draw(st.sampled_from(["gains", "multiplicative", "additive", "fueltax"]))
+    if mode == "gains":
+        return ["gains", "--T", draw(value), "--t", draw(value)]
+    argv = ["regret", "--mode", mode, "--T", draw(value), "--T0", draw(value)]
+    if draw(st.booleans()):
+        argv += ["--sigma", draw(st.sampled_from(_EXTREME + ["auto", "improper"]))]
+    if draw(st.booleans()):
+        drifts = draw(st.lists(st.sampled_from(_EXTREME + ["1e200"]), min_size=1, max_size=3))
+        argv += ["--a-grid", ",".join(drifts)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+@example(argv=["regret", "--mode", "multiplicative", "--T", "2", "--T0", "0", "--sigma", "1e-200"])
+@example(argv=["regret", "--mode", "multiplicative", "--T", "1e-8", "--T0", "0"])
+@example(argv=["regret", "--mode", "fueltax", "--T", "1e-8", "--T0", "0"])
+@example(argv=["regret", "--mode", "multiplicative", "--T", "2", "--T0", "0", "--a-grid", "0,1e200"])
+def test_argv_fuzz_exits_cleanly(argv):
+    # every input runs or is rejected: a documented exit code, no traceback, no NaN printed
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv
+    assert "nan" not in out.getvalue(), argv

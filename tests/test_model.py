@@ -101,13 +101,16 @@ def test_lambda_one_matches_plain_forms():
 
 @pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-2, 1.0, 30.0])
 def test_e1_and_esharp_keep_relative_precision_near_horizon(s):
-    # 1 - sech s and log cosh s cancel as s -> 0; the absolute checks above cannot see it
+    # 1 - sech s, s - tanh s and log cosh s cancel as s -> 0; the absolute
+    # checks above cannot see it
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         e1_ref = float(2 * (1 - mpmath.sech(s)))
+        e0_ref = float(s - mpmath.tanh(s))
         e_sharp_ref = float(mpmath.log(mpmath.cosh(s)))
     g = gains(0.0, ProblemSpec(horizon=s))
     assert abs(g.e1 - e1_ref) <= 1e-14 * e1_ref
+    assert abs(g.e0 - e0_ref) <= 1e-14 * e0_ref
     assert abs(g.e_sharp - e_sharp_ref) <= 1e-14 * e_sharp_ref
 
 
@@ -177,6 +180,10 @@ def test_spec_validation():
         ProblemSpec(horizon=1.0, t_start=-0.1)
     with pytest.raises(DomainError):
         ProblemSpec(horizon=1.0, fuel_weight=0.5)
+    with pytest.raises(DomainError):  # e0 ~ T^3/3 underflows
+        ProblemSpec(horizon=1e-110)
+    with pytest.raises(DomainError):  # subnormal
+        ProblemSpec(horizon=1.0, t_start=5e-324)
 
 
 @settings(deadline=None)

@@ -141,9 +141,17 @@ def test_import_loads_no_dependency_but_numpy():
         lambda spec, prior: multiplicative_regret(math.nan, prior, spec),
         lambda spec, prior: fueltax_ratio(-math.inf, prior, 2.0, spec),
         lambda spec, prior: opponent_cost(math.nan, spec),
+        # finite, but a^2 overflows
+        lambda spec, prior: multiplicative_regret(1e200, prior, spec),
+        lambda spec, prior: fueltax_ratio(-1e200, prior, 2.0, spec),
+        lambda spec, prior: opponent_cost(1e200, spec),
+        # a^2 is finite, the opponent's cost e0 a^2 is not
+        lambda spec, prior: multiplicative_regret(1e100, prior, ProblemSpec(horizon=1e250)),
     ],
     ids=["perf_coeffs-t", "perf_coeffs_rk4-t", "bayes_cost-a", "additive_regret-a",
-         "multiplicative_regret-a", "fueltax_ratio-a", "opponent_cost-a"],
+         "multiplicative_regret-a", "fueltax_ratio-a", "opponent_cost-a",
+         "multiplicative_regret-1e200", "fueltax_ratio-1e200", "opponent_cost-1e200",
+         "multiplicative_regret-cost-overflow"],
 )
 def test_non_finite_input_raises_domain_error(call):
     with pytest.raises(DomainError):
@@ -211,6 +219,10 @@ def test_additive_regret_finite_sigma_formula():
     p = prior.precision
     expected = f0 * 0.5 / (0.5 + p) ** 2 + f_sharp - e_sharp
     assert additive_regret(0.0, prior, spec) == pytest.approx(expected, rel=1e-12)
+    # a^2 p^2 overflows at a = 1e154, the regret (about a^2 f0 p^2/(t0+p)^2) does not
+    a = 1e154
+    expected = f0 * (p / (0.5 + p)) ** 2 * (a * a)
+    assert additive_regret(a, prior, spec) == pytest.approx(expected, rel=1e-12)
 
 
 def test_additive_regret_nonnegative_on_grid():

@@ -1,6 +1,7 @@
 """Euler-Maruyama simulator: exact degenerate cases, statistics, reproducibility."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from agnostic_control import (
     BudgetError,
     DomainError,
     GaussianPrior,
+    NonFiniteError,
     ProblemSpec,
     SimConfig,
     bayes_cost,
@@ -19,6 +21,7 @@ from agnostic_control import (
     simulate_path,
     value_known_a,
 )
+from agnostic_control import simulate
 from agnostic_control.simulate import analytic_cost, dump_trajectory, path_noise
 
 
@@ -40,6 +43,9 @@ def test_config_validation():
         SimConfig(spec=spec, a_true=0.0, dt=0.3)  # does not divide the horizon
     with pytest.raises(DomainError):  # t_start between grid points
         SimConfig(spec=ProblemSpec(horizon=1.0, t_start=0.55), a_true=0.0, dt=0.1)
+    for seed in (-1, 2 ** 64):  # outside the Philox key word
+        with pytest.raises(DomainError):
+            SimConfig(spec=spec, a_true=0.0, seed=seed)
 
 
 def test_budget_enforced():
@@ -166,6 +172,34 @@ def test_path_streams_independent_of_chunking():
     assert np.array_equal(n1, n2)
     assert not np.array_equal(path_noise(7, 12, 100), n1)
     assert not np.array_equal(path_noise(8, 11, 100), n1)
+
+
+@pytest.mark.parametrize("strategy", [
+    make_strategy("bayes", sigma=1.5), make_strategy("zero_control"),
+])
+def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
+    # noise for block c + 1 is drawn on a helper thread while block c steps;
+    # the costs must be those of a serial path-by-path run, whatever the block size
+    cfg = small_config(a_true=0.5, n_paths=50, seed=4)
+    noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
+    serial = np.concatenate([simulate._run_block(strategy, cfg, noise[i:i + 1])[0]
+                             for i in range(cfg.n_paths)])
+    for chunk in (7, cfg.n_paths, 4096):
+        monkeypatch.setattr(simulate, "_CHUNK", chunk)
+        costs = monte_carlo_cost(strategy, cfg, keep_costs=True).costs
+        assert costs.tobytes() == serial.tobytes()
+    for i in range(cfg.n_paths):
+        assert simulate_path(strategy, cfg, path_index=i)[1] == serial[i]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_error_in_first_block_leaves_no_helper_thread(monkeypatch):
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    cfg = small_config(a_true=1e200, n_paths=50)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError):
+        monte_carlo_cost(make_strategy("known_a", a=1e200), cfg)
+    assert threading.active_count() == before
 
 
 def test_make_strategy():
