@@ -138,11 +138,12 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 def _cmd_figures(args) -> int:
     grid = _parse_grid(args.grid)
+    table = sweep({1: "sigma_mr", 2: "mr_star", 3: "fueltax"}[args.which], grid)
+    # only once sweep has accepted the grid, so that a rejected call writes nothing
     os.makedirs(args.out, exist_ok=True)
     failures = 0
 
     if args.which == 1:
-        table = sweep("sigma_mr", grid)
         rows = []
         for rec in table.records:
             if "error" in rec:
@@ -154,7 +155,6 @@ def _cmd_figures(args) -> int:
         out = os.path.join(args.out, "fig1.csv")
         _write_csv(out, ["T", "sigma_star"], rows)
     elif args.which == 2:
-        table = sweep("mr_star", grid)
         solved = [r for r in table.records if "error" not in r]
         if not solved:
             print("error: every sweep point failed", file=sys.stderr)
@@ -174,7 +174,6 @@ def _cmd_figures(args) -> int:
         out = os.path.join(args.out, "fig2.csv")
         _write_csv(out, ["T", "mr_star_optimal", "mr_star_fixed_sigma"], rows)
     else:
-        table = sweep("fueltax", grid)
         rows = []
         for rec in table.records:
             if "error" in rec:
@@ -275,6 +274,8 @@ def _cmd_regret(args) -> int:
         if args.sigma != "auto":
             raise DomainError("fuel-tax mode solves sigma itself; use --sigma auto")
         lam_r, sig_r = solve_fueltax(args.T)
+        if not (lam_r.converged and sig_r.converged):
+            raise NoRootError(f"fuel-tax solve did not converge at T={args.T}")
         prior = GaussianPrior(sig_r.root)
         vals = [fueltax_ratio(a, prior, lam_r.root, spec) for a in a_grid]
         result["sigma"] = sig_r.root

@@ -99,6 +99,13 @@ def e1_unit(s):
     return 2.0 * tanh(s) * tanh(0.5 * s)
 
 
+def e0_unit(s: float) -> float:
+    """E0 at fuel weight 1 and remaining time s: s - tanh s, which below
+    s = 0.5 comes from the series of _s_minus_tanh_small (the subtraction
+    cancels there; at s >= 0.5 it is within 3e-15 relative)."""
+    return s - math.tanh(s) if s >= 0.5 else _s_minus_tanh_small(s)
+
+
 def _check_time(t: float, spec: ProblemSpec) -> None:
     if not 0.0 <= t <= spec.horizon:
         raise DomainError(f"t={t} outside [0, {spec.horizon}]")
@@ -118,13 +125,10 @@ def gains(t: float, spec: ProblemSpec) -> GainSchedule:
     lam = spec.fuel_weight
     sqrt_lam = math.sqrt(lam)
     s = (spec.horizon - t) / sqrt_lam
-    th = math.tanh(s)
-    # the subtraction loses digits as s -> 0; at s >= 0.5 it is within 3e-15 relative
-    s_minus_th = s - th if s >= 0.5 else _s_minus_tanh_small(s)
     return GainSchedule(
-        e2=sqrt_lam * th,
+        e2=sqrt_lam * math.tanh(s),
         e1=lam * e1_unit(s),
-        e0=lam * sqrt_lam * s_minus_th,
+        e0=lam * sqrt_lam * e0_unit(s),
         e_sharp=lam * log_cosh(s),
     )
 

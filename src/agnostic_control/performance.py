@@ -45,6 +45,9 @@ _NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_N_NODES), leggauss(
 _PANEL_EDGES = np.linspace(0.0, 1.0, 9)  # 8 equal panels per segment
 #: Remaining time s = T - tau beyond which e1 is flat (1 - sech 20 = 1 - 4e-9).
 _S_EDGE = 20.0
+#: Widest panel in w: wider ones arise only for t + p far below s_near (the
+#: widest any figure, cross-check or Monte Carlo point reaches is 14.7).
+_W_MAX = 16.0
 #: Relative disagreement of the two rules above which the result is refused.
 _EST_RTOL = 1e-10
 
@@ -63,7 +66,7 @@ class RegretReport:
     multiplicative_se: tuple[float, ...] | None = None
 
 
-@lru_cache(maxsize=16384)
+@lru_cache(maxsize=64)
 def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, float]:
     # In w = log1p((tau - t)/c), c = t + p, with x = expm1(w) = (tau - t)/c (no
     # cancellation) and d tau / (tau + p)^2 = dw / (c (1 + x)), the integrands
@@ -79,6 +82,16 @@ def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, f
     panels = np.log1p((span - s_near + s_near * _PANEL_EDGES) / c)
     if span > _S_EDGE:
         panels = np.concatenate([panels[0] * _PANEL_EDGES[:-1], panels])
+    # A tiny c stretches the first panels over w ~ log(s_near / c); split any
+    # panel wider than _W_MAX into equal parts.  (An infinite last edge, from
+    # c = 0 or an overflowing span / c, is left to the error check below.)
+    widths = np.diff(panels)
+    if math.isfinite(panels[-1]) and widths.max() > _W_MAX:
+        parts = np.ceil(widths / _W_MAX).astype(int)
+        panels = np.concatenate(
+            [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(panels[:-1], panels[1:], parts)]
+            + [panels[-1:]]
+        )
     half = 0.5 * np.diff(panels)
     x = np.expm1(panels[:-1, None] + half[:, None] * (1.0 + _NODES))
     g = 0.25 * e1_unit(span - c * x) ** 2 / (1.0 + x)

@@ -4,9 +4,9 @@ The competitive ratio of the Bayesian strategy is a Mobius function of a^2,
 so it is constant in a exactly when the ratio at a=0 equals the a->infinity
 limit.  solve_sigma_mr finds the prior width sigma* achieving that balance;
 worst_case_mr evaluates the resulting (constant) ratio.  The fuel-tax
-variant nests the same construction: an inner sigma-solve makes the cost
-ratio against a lambda-taxed opponent constant in a, and an outer solve
-finds the lambda at which that constant ratio equals 1.
+variant asks both of those ratios to equal 1 against an opponent taxed at
+lambda: the a=0 condition gives lambda(sigma) in closed form, so
+solve_fueltax is again one root in sigma.
 
 All solves use the same recipe: scan for a sign change, bisect the bracket
 down, then polish with a bracket-guarded Newton iteration using a numerically
@@ -23,17 +23,19 @@ import numpy as np
 
 from .bayes import GaussianPrior
 from .errors import DomainError, NoRootError
-from .model import ProblemSpec, gains, own_gains
+from .model import ProblemSpec, e0_unit, log_cosh, own_gains
 from .performance import (
     A_GRID_DEFAULT,
+    fueltax_ratio,
     multiplicative_regret,
     multiplicative_regret_limit,
     perf_coeffs,
 )
 
-SIGMA_SCAN_LO = 1e-3
-SIGMA_SCAN_HI = 1e3
-LAMBDA_MAX = 10.0
+#: The 31 prior widths, log-spaced over [1e-3, 1e3], scanned for a sign change.
+_SIGMA_SCAN = np.logspace(-3.0, 3.0, 31)
+#: Newton steps for the fuel weight; where no root exists each one doubles lambda.
+_NEWTON_MAX = 64
 
 #: Default horizon grid behind the figure sweeps: 40 log-spaced points
 #: covering all qualitative features (regret peak near T=2, both tails).
@@ -146,8 +148,17 @@ def _scan_bracket(
 
 def solve_sigma_mr(T: float, *, f_tol: float = 1e-9) -> SolveResult:
     """Prior width sigma* making the competitive ratio independent of the drift:
-    the fuel-tax constancy condition against an untaxed opponent (lambda = 1)."""
-    return _solve_sigma_fueltax(T, 1.0, f_tol=f_tol)
+    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0."""
+    spec = ProblemSpec(horizon=T)
+    g = own_gains(0.0, spec)
+    e0, e_sharp = g.e0, g.e_sharp
+
+    def resid(sigma: float) -> float:
+        f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
+        return (e0 + f0) / e0 - f_sharp / e_sharp
+
+    lo, hi, _ = _scan_bracket(resid, _SIGMA_SCAN)
+    return find_root(resid, lo, hi, f_tol=f_tol, log_space=True)
 
 
 def worst_case_mr(T: float, sigma: float | None = None) -> float:
@@ -172,73 +183,56 @@ def worst_case_mr(T: float, sigma: float | None = None) -> float:
     return max(multiplicative_regret(0.0, prior, spec), multiplicative_regret_limit(prior, spec))
 
 
-def _fueltax_residual(sigma: float, lam: float, spec: ProblemSpec) -> float:
-    # constancy of the taxed ratio: (e0 + F0)/e0_lam == F#/e_sharp_lam
-    g1 = own_gains(0.0, spec)
-    g_lam = gains(0.0, spec.with_fuel_weight(lam))
-    f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
-    return (g1.e0 + f0) / g_lam.e0 - f_sharp / g_lam.e_sharp
+def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
+    """(lambda, e0_lambda) at t = 0, where the opponent's e#_lambda =
+    lambda log cosh(T/sqrt(lambda)) equals f_sharp.
+
+    de#/dlambda = log cosh s - (s/2) tanh s, s = T/sqrt(lambda), is positive
+    and falls as lambda grows, so Newton from lambda = 1 climbs to the root
+    without overshooting.  When f_sharp is at or past the lambda -> inf limit
+    T^2/2, each step at least doubles lambda, and after _NEWTON_MAX of them
+    e0 is its limit T^3/3 to float precision.
+    """
+    lam = 1.0
+    for _ in range(_NEWTON_MAX):
+        s = T / math.sqrt(lam)
+        th, lc, z = math.tanh(s), log_cosh(s), s * s
+        # the difference cancels below s = 1e-3, where the series is exact to 1e-13
+        slope = lc - 0.5 * s * th if s >= 1e-3 else z * z * (1.0 / 12.0 - z * (2.0 / 45.0))
+        gap = f_sharp - lam * lc
+        if not (gap > 4e-16 * f_sharp and slope > 0.0):
+            break
+        lam += gap / slope
+    return lam, lam * math.sqrt(lam) * e0_unit(T / math.sqrt(lam))
 
 
-def _solve_sigma_fueltax(T: float, lam: float, *, f_tol: float = 1e-9) -> SolveResult:
-    spec = ProblemSpec(horizon=T)
-    resid = lambda s: _fueltax_residual(s, lam, spec)
-    xs = np.logspace(math.log10(SIGMA_SCAN_LO), math.log10(SIGMA_SCAN_HI), 31)
-    lo, hi, _ = _scan_bracket(resid, xs)
-    return find_root(resid, lo, hi, f_tol=f_tol, log_space=True)
+def solve_fueltax(T: float, *, f_tol: float = 1e-9) -> tuple[SolveResult, SolveResult]:
+    """Fuel-tax regret at horizon T: the fuel weight lambda* of the informed
+    opponent at which a prior, of width sigma_ft, makes the taxed cost ratio
+    equal to 1 for every drift.  Returns (lambda result, sigma result).
 
-
-def solve_fueltax(
-    T: float, *, f_tol: float = 1e-8, lambda_max: float = LAMBDA_MAX
-) -> tuple[SolveResult, SolveResult]:
-    """Fuel-tax regret: nested solve for (lambda*, sigma) at horizon T.
-
-    Inner: sigma making the taxed cost ratio constant in the drift.
-    Outer: the lambda at which that constant ratio equals 1.
-    Returns (lambda result, sigma result at lambda*).
+    Our side pays no tax, so F0 and F# at t = 0 depend on sigma only.  Ratio 1
+    at a = 0, F#(sigma) = e#_lambda, gives lambda(sigma) in closed form; ratio
+    1 as a -> inf, F0(sigma) = e0_lambda - e0, is one bracketed root in sigma,
+    with the residual taken relative to F0.
     """
     spec = ProblemSpec(horizon=T)
+    e0 = own_gains(0.0, spec).e0
 
-    def const_ratio_minus_one(lam: float) -> float:
-        sr = _solve_sigma_fueltax(T, lam)
-        if not sr.converged:
-            raise NoRootError(f"inner sigma solve failed at T={T}, lambda={lam}")
-        g_lam = gains(0.0, spec.with_fuel_weight(lam))
-        _, f_sharp = perf_coeffs(0.0, GaussianPrior(sr.root), spec)
-        return f_sharp / g_lam.e_sharp - 1.0
+    def resid(sigma: float) -> float:
+        f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
+        extra = _taxed_opponent(T, f_sharp)[1] - e0
+        return 1.0 - extra / f0 if f0 > 0.0 else -math.inf
 
-    r1 = const_ratio_minus_one(1.0)
-    if abs(r1) <= f_tol:
-        lam_result = SolveResult(1.0, r1, 1, 1.0, 1.0, True)
-    else:
-        # The constant ratio decreases in lambda but the inner constancy
-        # equation stops having a solution for lambda far past the root, so
-        # expand the upper bracket gradually instead of probing lambda_max.
-        lo, r_lo = 1.0, r1
-        hi = 1.0
-        r_hi = r1
-        while r_hi > 0.0:
-            step = max(0.1, 0.3 * (hi - 1.0))
-            hi = hi + step
-            if hi > lambda_max:
-                raise NoRootError(
-                    f"constant ratio still exceeds 1 at lambda={lambda_max}; "
-                    "no fuel-tax root in range"
-                )
-            try:
-                r_hi = const_ratio_minus_one(hi)
-            except NoRootError as exc:
-                raise NoRootError(
-                    f"inner sigma solve failed at lambda={hi} before the "
-                    f"ratio dropped below 1 (last residual {r_lo} at {lo})"
-                ) from exc
-            if r_hi > 0.0:
-                lo, r_lo = hi, r_hi
-        lam_result = find_root(
-            const_ratio_minus_one, lo, hi, f_tol=f_tol, bracket_width=1e-2
-        )
-    sigma_result = _solve_sigma_fueltax(T, lam_result.root)
-    return lam_result, sigma_result
+    def lam_of(sigma: float) -> float:
+        return _taxed_opponent(T, perf_coeffs(0.0, GaussianPrior(sigma), spec)[1])[0]
+
+    lo, hi, _ = _scan_bracket(resid, _SIGMA_SCAN)
+    sr = find_root(resid, lo, hi, f_tol=f_tol, log_space=True)
+    lam = lam_of(sr.root)
+    r = fueltax_ratio(0.0, GaussianPrior(sr.root), lam, spec) - 1.0
+    converged = sr.converged and abs(r) <= f_tol
+    return SolveResult(lam, r, sr.iterations, lam_of(lo), lam_of(hi), converged), sr
 
 
 def certify_constant_mr(
@@ -298,5 +292,5 @@ def sweep(quantity: str, t_grid) -> SweepTable:
         quantity=quantity,
         grid=grid,
         records=tuple(solve_one(T) for T in grid),
-        metadata={"f_tol": 1e-9 if quantity != "fueltax" else 1e-8},
+        metadata={"f_tol": 1e-9},
     )

@@ -190,8 +190,8 @@ def test_usage_error_exit_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["figures", "--which", "1", "--grid", "2,1", "--out", "unused"],
-    ["figures", "--which", "1", "--grid", "abc", "--out", "unused"],
+    ["figures", "--which", "1", "--grid", "2,1", "--out", "OUT"],
+    ["figures", "--which", "1", "--grid", "abc", "--out", "OUT"],
     ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "x"],
     ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "foo"],
     ["simulate", "--strategy", "known_a", "--a", "nan", "--T", "1", "--dt", "0.1",
@@ -200,10 +200,12 @@ def test_usage_error_exit_2(capsys):
     ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "1e-100"],
     ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "0,1e200"],
 ])
-def test_bad_input_exit_2_without_traceback(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+def test_bad_input_exit_2_without_traceback(capsys, tmp_path, argv):
+    out = tmp_path / "out"
+    code, _, err = run_cli(capsys, *[str(out) if a == "OUT" else a for a in argv])
     assert code == 2
     assert "Traceback" not in err
+    assert not out.exists()  # a rejected command writes nothing
 
 
 def test_simulate_one_path_prints_null_stderr(capsys):
@@ -241,6 +243,7 @@ def _argv(draw):
 @example(argv=["regret", "--mode", "multiplicative", "--T", "2", "--T0", "0", "--sigma", "1e-200"])
 @example(argv=["regret", "--mode", "multiplicative", "--T", "1e-8", "--T0", "0"])
 @example(argv=["regret", "--mode", "fueltax", "--T", "1e-8", "--T0", "0"])
+@example(argv=["regret", "--mode", "fueltax", "--T", "1e-70", "--T0", "0"])  # F0 underflows to 0
 @example(argv=["regret", "--mode", "multiplicative", "--T", "2", "--T0", "0", "--a-grid", "0,1e200"])
 def test_argv_fuzz_exits_cleanly(argv):
     # every input runs or is rejected: a documented exit code, no traceback, no NaN printed

@@ -56,6 +56,22 @@ def test_gains_nonnegative_and_nonincreasing():
         assert np.all(np.diff(vals, axis=0) <= 1e-12)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    T=st.floats(1e-3, 1e3),
+    lam=st.floats(1.0, 100.0),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+)
+def test_gains_nonnegative_and_nonincreasing_property(T, lam, u, v):
+    spec = ProblemSpec(horizon=T, fuel_weight=lam)
+    t1, t2 = sorted((u * T, v * T))
+    g1, g2 = gains(t1, spec), gains(t2, spec)
+    for f in ("e2", "e1", "e0", "e_sharp"):
+        early, late = getattr(g1, f), getattr(g2, f)
+        assert 0.0 <= late <= early, (f, t1, t2)
+
+
 def test_large_remaining_time_no_overflow():
     # s = 1e4: log cosh and sech must not overflow
     g = gains(0.0, ProblemSpec(horizon=1e4))

@@ -7,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agnostic_control import (
     DomainError,
@@ -107,6 +109,39 @@ def test_coeffs_match_mpmath(t, sigma, T):
     mpmath = pytest.importorskip("mpmath")
     got = perf_coeffs(t, GaussianPrior(sigma), ProblemSpec(horizon=T))
     for value, ref in zip(got, _coeffs_mpmath(mpmath, t, sigma, T)):
+        assert abs(value - ref) <= 1e-12 * ref
+
+
+def _coeffs_mpmath_w(mpmath, t, sigma, T):
+    """(F0, F#) at 30 digits from the integrals in w = log1p((tau - t)/c),
+    c = t + p, which stay smooth however small c is; split where tau - t is
+    (T - t) 2^-k and at T - 20, T - 5, T - 1."""
+    with mpmath.workdps(30):
+        t, T = mpmath.mpf(t), mpmath.mpf(T)
+        c = t + (0 if math.isinf(sigma) else 1 / mpmath.mpf(sigma) ** 2)
+        span = T - t
+        e1_sq_4 = lambda w: (1 - mpmath.sech(span - c * mpmath.expm1(w))) ** 2
+        xs = [span * 2.0 ** -k for k in range(12)] + [span - s for s in (20, 5, 1) if s < span]
+        pts = sorted({mpmath.log1p(x / c) for x in xs} | {0})
+        i0 = mpmath.quad(lambda w: e1_sq_4(w) * mpmath.exp(-w), pts)
+        tail = mpmath.quad(lambda w: e1_sq_4(w) * -mpmath.expm1(-w), pts)
+        return float(c * i0), float(mpmath.log(mpmath.cosh(span)) + tail)
+
+
+@pytest.mark.parametrize(
+    "t, sigma, T",
+    [
+        (1e-30, math.inf, 2.0),
+        (1e-300, math.inf, 0.05),
+        (0.0, 1e150, 2.0),  # precision 1e-300
+        (1e-300, math.inf, 50.0),
+    ],
+)
+def test_coeffs_match_mpmath_for_tiny_t_plus_p(t, sigma, T):
+    # t + p far below T - t: the first panels span w ~ log(T/(t + p)), up to 690
+    mpmath = pytest.importorskip("mpmath")
+    got = perf_coeffs(t, GaussianPrior(sigma), ProblemSpec(horizon=T))
+    for value, ref in zip(got, _coeffs_mpmath_w(mpmath, t, sigma, T)):
         assert abs(value - ref) <= 1e-12 * ref
 
 
@@ -278,6 +313,28 @@ def test_heavily_taxed_opponent_is_beatable():
     prior = GaussianPrior(1.0)
     for a in np.linspace(-10, 10, 21):
         assert fueltax_ratio(a, prior, 10.0, spec) < 1.0
+
+
+_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_LOG_SIGMA = st.floats(-2.0, 2.0)
+_HORIZON = st.floats(0.01, 50.0)
+_DRIFT = st.floats(-20.0, 20.0)
+
+
+@_PROPERTY
+@given(a=_DRIFT, log_sigma=_LOG_SIGMA, T=_HORIZON)
+def test_multiplicative_regret_at_least_one_property(a, log_sigma, T):
+    prior, spec = GaussianPrior(10.0 ** log_sigma), ProblemSpec(horizon=T)
+    assert multiplicative_regret(a, prior, spec) >= 1.0
+    assert fueltax_ratio(a, prior, 1.0, spec) >= 1.0
+
+
+@_PROPERTY
+@given(a=_DRIFT, log_sigma=st.one_of(_LOG_SIGMA, st.just(math.inf)), T=_HORIZON,
+       frac=st.floats(0.01, 0.99))
+def test_additive_regret_nonnegative_property(a, log_sigma, T, frac):
+    prior = GaussianPrior(10.0 ** log_sigma)
+    assert additive_regret(a, prior, ProblemSpec(horizon=T, t_start=frac * T)) >= 0.0
 
 
 def test_opponent_cost_reduces_to_value_at_zero_start():

@@ -1,5 +1,5 @@
 """Root-finding layer: sigma* for constant competitive ratio, worst-case MR,
-the fuel-tax nested solve, and horizon sweeps."""
+the fuel-tax solve, and horizon sweeps."""
 
 import numpy as np
 import pytest
@@ -11,15 +11,16 @@ from agnostic_control import (
     ProblemSpec,
     certify_constant_mr,
     find_root,
+    gains,
     multiplicative_regret,
     multiplicative_regret_limit,
+    perf_coeffs,
     solve_fueltax,
     solve_sigma_mr,
     sweep,
     worst_case_mr,
 )
 from agnostic_control.performance import mr_general, mr_general_limit
-from agnostic_control.solvers import _solve_sigma_fueltax
 
 
 def test_find_root_simple():
@@ -74,10 +75,28 @@ def test_fueltax_at_reference_horizon():
     assert 1.25 <= lam_r.root <= 1.35
 
 
-def test_fueltax_inner_at_lambda_one_is_sigma_mr():
-    r_mr = solve_sigma_mr(2.0)
-    r_ft = _solve_sigma_fueltax(2.0, 1.0)
-    assert r_ft.root == pytest.approx(r_mr.root, rel=1e-6)
+@pytest.mark.parametrize("T", [0.5, 2.0, 8.0])
+def test_fueltax_solution_meets_both_constancy_conditions(T):
+    # (sigma_ft, lambda*) solves the nested formulation: the taxed ratio is
+    # constant in the drift, (e0 + F0)/e0_lam = F#/e#_lam, and that constant is 1
+    lam_r, sig_r = solve_fueltax(T)
+    assert lam_r.converged and sig_r.converged
+    spec = ProblemSpec(horizon=T)
+    e0 = gains(0.0, spec).e0
+    g_lam = gains(0.0, spec.with_fuel_weight(lam_r.root))
+    f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sig_r.root), spec)
+    assert abs((e0 + f0) / g_lam.e0 - f_sharp / g_lam.e_sharp) <= 1e-9
+    assert abs(f_sharp / g_lam.e_sharp - 1.0) <= 1e-8
+    assert lam_r.bracket_lo <= lam_r.root <= lam_r.bracket_hi
+
+
+@pytest.mark.parametrize("T", [0.005, 0.01, 0.02, 0.05])
+def test_fueltax_lambda_tends_to_its_small_horizon_limit_like_t_squared(T):
+    # lambda*(0) = 1.2876026533 from the matched small-T asymptotics (mpmath);
+    # the gap closes like T^2, with a coefficient of about 0.0134
+    lam_r, sig_r = solve_fueltax(T)
+    assert lam_r.converged and sig_r.converged
+    assert 0.0133 <= (lam_r.root - 1.2876026533) / T ** 2 <= 0.0135
 
 
 def test_sweep_records_and_determinism():
