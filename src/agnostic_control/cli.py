@@ -129,67 +129,44 @@ def _cmd_gains(args) -> int:
     return EXIT_OK
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else _fmt(v) for v in row) + "\n")
+#: --which: the sweep quantity behind the figure and the columns of its CSV,
+#: each the key of a sweep record (figure 2 adds its fixed-sigma column).
+_FIGURES = {
+    1: ("sigma_mr", ("T", "sigma_star")),
+    2: ("mr_star", ("T", "mr_star_optimal", "mr_star_fixed_sigma")),
+    3: ("fueltax", ("T", "sigma_ft", "lambda_star")),
+}
 
 
 def _cmd_figures(args) -> int:
+    quantity, columns = _FIGURES[args.which]
     grid = _parse_grid(args.grid)
-    table = sweep({1: "sigma_mr", 2: "mr_star", 3: "fueltax"}[args.which], grid)
+    records = sweep(quantity, grid).records
     # only once sweep has accepted the grid, so that a rejected call writes nothing
     os.makedirs(args.out, exist_ok=True)
-    failures = 0
+    solved = [rec for rec in records if "error" not in rec]
 
-    if args.which == 1:
-        rows = []
-        for rec in table.records:
-            if "error" in rec:
-                failures += 1
-                print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
-                rows.append([rec["T"], None])
-            else:
-                rows.append([rec["T"], rec["sigma_star"]])
-        out = os.path.join(args.out, "fig1.csv")
-        _write_csv(out, ["T", "sigma_star"], rows)
-    elif args.which == 2:
-        solved = [r for r in table.records if "error" not in r]
+    if args.which == 2:
         if not solved:
             print("error: every sweep point failed", file=sys.stderr)
             return EXIT_SOLVER
-        peak = max(solved, key=lambda r: r["mr_star"])
-        sigma_fixed = peak["sigma_star"]
-        rows = []
-        for rec in table.records:
-            if "error" in rec:
-                failures += 1
-                print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
-                rows.append([rec["T"], None, None])
-            else:
-                rows.append(
-                    [rec["T"], rec["mr_star"], worst_case_mr(rec["T"], sigma=sigma_fixed)]
-                )
-        out = os.path.join(args.out, "fig2.csv")
-        _write_csv(out, ["T", "mr_star_optimal", "mr_star_fixed_sigma"], rows)
-    else:
-        rows = []
-        for rec in table.records:
-            if "error" in rec:
-                failures += 1
-                print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
-                rows.append([rec["T"], None, None])
-            else:
-                rows.append([rec["T"], rec["sigma_ft"], rec["lambda_star"]])
-        out = os.path.join(args.out, "fig3.csv")
-        _write_csv(out, ["T", "sigma_ft", "lambda_star"], rows)
+        sigma_fixed = max(solved, key=lambda r: r["mr_star_optimal"])["sigma_star"]
+        for rec in solved:
+            rec["mr_star_fixed_sigma"] = worst_case_mr(rec["T"], sigma=sigma_fixed)
 
+    out = os.path.join(args.out, f"fig{args.which}.csv")
+    with open(out, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            if "error" in rec:
+                print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
+            fh.write(",".join(_fmt(rec[c]) if c in rec else "" for c in columns) + "\n")
     _write_manifest(
         out.replace(".csv", ".manifest.json"),
         "figures",
         {"which": args.which, "grid": grid},
     )
+    failures = len(records) - len(solved)
     if failures > 0.1 * len(grid):
         print(f"error: {failures}/{len(grid)} sweep points failed", file=sys.stderr)
         return EXIT_SOLVER

@@ -50,6 +50,8 @@ _S_EDGE = 20.0
 _W_MAX = 16.0
 #: Relative disagreement of the two rules above which the result is refused.
 _EST_RTOL = 1e-10
+#: Fixed RK4 steps from T down to t in the perf_coeffs_rk4 cross-check.
+_RK4_STEPS = 8000
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,11 @@ def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, f
     if span == 0.0:
         return 0.0, 0.0
     c = t + precision
+    # F# ~ log(span / c) diverges at c = 0; `c == 0.0 or` keeps the division from raising
+    if c == 0.0 or span / c == math.inf:
+        raise SingularityError(
+            f"F# diverges: (T - t)/(t + precision) overflows at t={t}, precision={precision}"
+        )
     # Near the horizon e1 rises over s ~ 1, so the panels there are equal in
     # tau (mapped to w) up to s = 20; beyond, e1 is flat and they are equal in w.
     s_near = min(span, _S_EDGE)
@@ -83,10 +90,9 @@ def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, f
     if span > _S_EDGE:
         panels = np.concatenate([panels[0] * _PANEL_EDGES[:-1], panels])
     # A tiny c stretches the first panels over w ~ log(s_near / c); split any
-    # panel wider than _W_MAX into equal parts.  (An infinite last edge, from
-    # c = 0 or an overflowing span / c, is left to the error check below.)
+    # panel wider than _W_MAX into equal parts.
     widths = np.diff(panels)
-    if math.isfinite(panels[-1]) and widths.max() > _W_MAX:
+    if widths.max() > _W_MAX:
         parts = np.ceil(widths / _W_MAX).astype(int)
         panels = np.concatenate(
             [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(panels[:-1], panels[1:], parts)]
@@ -109,16 +115,15 @@ def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, f
 
 def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
     """(F0(t), F#(t)) for the given prior, by composite Gauss-Legendre quadrature;
-    QuadratureError when the rule at half the nodes disagrees by over 1e-10 relative."""
+    QuadratureError when the rule at half the nodes disagrees by over 1e-10 relative,
+    SingularityError when t + precision is 0 or (T - t)/(t + precision) overflows."""
     _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
     return _coeffs_cached(float(t), prior.precision, spec.horizon)
 
 
-def perf_coeffs_rk4(
-    t: float, prior: GaussianPrior, spec: ProblemSpec, n_steps: int = 8000
-) -> tuple[float, float]:
+def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
     """Independent evaluation of (F0, F#): backward RK4 on the coefficient ODEs.
 
         dF0/dt = 2 F0 / (t + p) - e1^2 / 4
@@ -126,7 +131,7 @@ def perf_coeffs_rk4(
 
     integrated from t=T (where both vanish) down to t.  Used to cross-check
     perf_coeffs; the two agree to ~1e-8 relative only where the fixed step
-    h = (T - t)/n_steps keeps 2h/(tau + p) inside RK4's stability interval
+    h = (T - t)/_RK4_STEPS keeps 2h/(tau + p) inside RK4's stability interval
     (below about 2.8) down to tau = t.  At sigma = 100, t = 0, T = 2 that
     ratio is 5, and F0 is 2.9e-3 off.
     """
@@ -144,10 +149,10 @@ def perf_coeffs_rk4(
             [2.0 * y[0] / d - 0.25 * g.e1 * g.e1, -g.e2 - y[0] / (d * d)]
         )
 
-    h = (t - T) / n_steps  # negative: integrating backwards
+    h = (t - T) / _RK4_STEPS  # negative: integrating backwards
     y = np.zeros(2)
     tau = T
-    for _ in range(n_steps):
+    for _ in range(_RK4_STEPS):
         k1 = rhs(tau, y)
         k2 = rhs(tau + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(tau + 0.5 * h, y + 0.5 * h * k2)
@@ -233,7 +238,7 @@ def fueltax_ratio(
     return ((g1.e0 + f0) * a2 + f_sharp) / opp
 
 
-def opponent_cost(a: float, spec: ProblemSpec, fuel_weight: float = 1.0) -> float:
+def opponent_cost(a: float, spec: ProblemSpec) -> float:
     """Expected total cost of the informed opponent started from q(0)=0.
 
     The opponent also observes only on [0, t_start]; its cost is the
@@ -241,7 +246,7 @@ def opponent_cost(a: float, spec: ProblemSpec, fuel_weight: float = 1.0) -> floa
     """
     _check_drift(a)
     t0 = spec.t_start
-    g = gains(t0, spec.with_fuel_weight(fuel_weight))
+    g = own_gains(t0, spec)
     return (
         g.e2 * (a * a * t0 * t0 + t0)
         + g.e1 * a * a * t0

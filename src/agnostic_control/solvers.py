@@ -8,15 +8,15 @@ variant asks both of those ratios to equal 1 against an opponent taxed at
 lambda: the a=0 condition gives lambda(sigma) in closed form, so
 solve_fueltax is again one root in sigma.
 
-All solves use the same recipe: scan for a sign change, bisect the bracket
-down, then polish with a bracket-guarded Newton iteration using a numerically
-differenced residual.
+Both solves use one search, find_root: the first sign change of the residual
+over a log-spaced scan of sigma, bisection in log sigma, then a bracket-guarded
+Newton polish on a numerically differenced residual, to |residual| <= F_TOL.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,14 @@ from .performance import (
 _SIGMA_SCAN = np.logspace(-3.0, 3.0, 31)
 #: Newton steps for the fuel weight; where no root exists each one doubles lambda.
 _NEWTON_MAX = 64
+#: Residual magnitude at which every root solve counts as converged.
+F_TOL = 1e-9
+#: Width in log x below which find_root stops bisecting and starts Newton.
+_BRACKET_WIDTH = 1e-2
+#: Relative step of the central difference that gives the Newton slope.
+_NEWTON_REL_STEP = 1e-6
+#: Most evaluations find_root makes inside the bracket.
+_MAX_ITER = 200
 
 #: Default horizon grid behind the figure sweeps: 40 log-spaced points
 #: covering all qualitative features (regret peak near T=2, both tails).
@@ -59,94 +67,70 @@ class SweepTable:
     quantity: str
     grid: tuple[float, ...]
     records: tuple[dict, ...]
-    metadata: dict = field(default_factory=dict)
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    f_tol: float,
-    log_space: bool = False,
-    bracket_width: float = 1e-2,
-    newton_rel_step: float = 1e-6,
-    max_iter: int = 200,
-) -> SolveResult:
-    """Bracketed bisection + Newton polish; requires f(lo), f(hi) of opposite sign.
+def find_root(f: Callable[[float], float], xs) -> SolveResult:
+    """Root of f in its first sign change over the positive, increasing xs
+    (NoRootError, with the (x, f(x)) pairs as .scan, if there is none).
 
-    Bisection runs (in x or log x) until the bracket is narrower than
-    bracket_width, then Newton iterates on the residual with a numerically
-    differenced derivative; any Newton step leaving the bracket falls back
-    to bisection.  Converges when |f| <= f_tol.
+    Bisection in log x narrows that bracket to _BRACKET_WIDTH, then Newton with
+    a differenced slope takes over, bisecting when a step leaves the bracket.
+    iterations counts the evaluations inside the bracket, its ends included.
     """
-    xform = math.log if log_space else (lambda x: x)
-    inv = math.exp if log_space else (lambda x: x)
+    scan: list[tuple[float, float]] = []
+    for x in xs:
+        scan.append((float(x), f(float(x))))
+        if len(scan) > 1 and math.copysign(1.0, scan[-1][1]) != math.copysign(1.0, scan[-2][1]):
+            break
+    else:
+        err = NoRootError(f"no sign change over scan [{xs[0]}, {xs[-1]}]")
+        err.scan = scan
+        raise err
 
-    f_lo, f_hi = f(lo), f(hi)
+    (a, fa), (b, _) = scan[-2:]
     iters = 2
-    for val, x in ((f_lo, lo), (f_hi, hi)):
-        if abs(val) <= f_tol:
-            return SolveResult(x, val, iters, lo, hi, True)
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise NoRootError(f"no sign change on [{lo}, {hi}]: f={f_lo}, {f_hi}")
-
-    a, b, fa, fb = lo, hi, f_lo, f_hi
+    for x, fx in scan[-2:]:
+        if abs(fx) <= F_TOL:
+            return SolveResult(x, fx, iters, a, b, True)
 
     def update(x: float, fx: float) -> None:
-        nonlocal a, b, fa, fb
+        nonlocal a, b, fa
         if math.copysign(1.0, fx) == math.copysign(1.0, fa):
             a, fa = x, fx
         else:
-            b, fb = x, fx
+            b = x
+
+    def mid() -> float:
+        return math.exp(0.5 * (math.log(a) + math.log(b)))
 
     # bisection phase
-    while xform(b) - xform(a) > bracket_width and iters < max_iter:
-        mid = inv(0.5 * (xform(a) + xform(b)))
-        fm = f(mid)
+    while math.log(b) - math.log(a) > _BRACKET_WIDTH and iters < _MAX_ITER:
+        x = mid()
+        fx = f(x)
         iters += 1
-        if abs(fm) <= f_tol:
-            return SolveResult(mid, fm, iters, a, b, True)
-        update(mid, fm)
-
-    # Newton phase with bracket guard
-    x = inv(0.5 * (xform(a) + xform(b)))
-    fx = f(x)
-    iters += 1
-    while iters < max_iter:
-        if abs(fx) <= f_tol:
+        if abs(fx) <= F_TOL:
             return SolveResult(x, fx, iters, a, b, True)
         update(x, fx)
-        h = max(abs(x), 1e-8) * newton_rel_step
+
+    # Newton phase with bracket guard
+    x = mid()
+    fx = f(x)
+    iters += 1
+    while iters < _MAX_ITER:
+        if abs(fx) <= F_TOL:
+            return SolveResult(x, fx, iters, a, b, True)
+        update(x, fx)
+        h = max(abs(x), 1e-8) * _NEWTON_REL_STEP
         df = (f(x + h) - f(x - h)) / (2.0 * h)
         iters += 2
         x_new = x - fx / df if df != 0.0 else math.nan
-        if not (a < x_new < b):
-            x_new = inv(0.5 * (xform(a) + xform(b)))
-        x = x_new
+        x = x_new if a < x_new < b else mid()
         fx = f(x)
         iters += 1
-    return SolveResult(x, fx, iters, a, b, abs(fx) <= f_tol)
+    return SolveResult(x, fx, iters, a, b, abs(fx) <= F_TOL)
 
 
-def _scan_bracket(
-    f: Callable[[float], float], xs: np.ndarray
-) -> tuple[float, float, list[tuple[float, float]]]:
-    """First sign-change interval over the scan points; raises with the scan attached."""
-    scan = []
-    prev_x, prev_f = None, None
-    for x in xs:
-        fx = f(float(x))
-        scan.append((float(x), fx))
-        if prev_f is not None and math.copysign(1.0, fx) != math.copysign(1.0, prev_f):
-            return prev_x, float(x), scan
-        prev_x, prev_f = float(x), fx
-    err = NoRootError(f"no sign change over scan [{xs[0]}, {xs[-1]}]")
-    err.scan = scan
-    raise err
-
-
-def solve_sigma_mr(T: float, *, f_tol: float = 1e-9) -> SolveResult:
+def solve_sigma_mr(T: float) -> SolveResult:
     """Prior width sigma* making the competitive ratio independent of the drift:
     its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0."""
     spec = ProblemSpec(horizon=T)
@@ -157,8 +141,15 @@ def solve_sigma_mr(T: float, *, f_tol: float = 1e-9) -> SolveResult:
         f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
         return (e0 + f0) / e0 - f_sharp / e_sharp
 
-    lo, hi, _ = _scan_bracket(resid, _SIGMA_SCAN)
-    return find_root(resid, lo, hi, f_tol=f_tol, log_space=True)
+    return find_root(resid, _SIGMA_SCAN)
+
+
+def _solve_mr_star(T: float) -> tuple[SolveResult, float]:
+    """The sigma* solve at horizon T and the constant competitive ratio F#/e# there."""
+    sr = solve_sigma_mr(T)
+    spec = ProblemSpec(horizon=T)
+    _, f_sharp = perf_coeffs(0.0, GaussianPrior(sr.root), spec)
+    return sr, f_sharp / own_gains(0.0, spec).e_sharp
 
 
 def worst_case_mr(T: float, sigma: float | None = None) -> float:
@@ -169,16 +160,12 @@ def worst_case_mr(T: float, sigma: float | None = None) -> float:
     function of a^2, so the supremum is the larger of the a=0 value and the
     analytic a->infinity limit.
     """
-    spec = ProblemSpec(horizon=T)
     if sigma is None:
-        sr = solve_sigma_mr(T)
+        sr, mr = _solve_mr_star(T)
         if not sr.converged:
             raise NoRootError(f"sigma* solve did not converge at T={T}")
-        sigma = sr.root
-        prior = GaussianPrior(sigma)
-        g = own_gains(0.0, spec)
-        _, f_sharp = perf_coeffs(0.0, prior, spec)
-        return f_sharp / g.e_sharp
+        return mr
+    spec = ProblemSpec(horizon=T)
     prior = GaussianPrior(sigma)
     return max(multiplicative_regret(0.0, prior, spec), multiplicative_regret_limit(prior, spec))
 
@@ -206,10 +193,11 @@ def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
     return lam, lam * math.sqrt(lam) * e0_unit(T / math.sqrt(lam))
 
 
-def solve_fueltax(T: float, *, f_tol: float = 1e-9) -> tuple[SolveResult, SolveResult]:
+def solve_fueltax(T: float) -> tuple[SolveResult, SolveResult]:
     """Fuel-tax regret at horizon T: the fuel weight lambda* of the informed
     opponent at which a prior, of width sigma_ft, makes the taxed cost ratio
-    equal to 1 for every drift.  Returns (lambda result, sigma result).
+    equal to 1 for every drift.  Returns (lambda result, sigma result); the
+    lambda bracket is lambda(sigma) at the ends of the final sigma bracket.
 
     Our side pays no tax, so F0 and F# at t = 0 depend on sigma only.  Ratio 1
     at a = 0, F#(sigma) = e#_lambda, gives lambda(sigma) in closed form; ratio
@@ -227,12 +215,12 @@ def solve_fueltax(T: float, *, f_tol: float = 1e-9) -> tuple[SolveResult, SolveR
     def lam_of(sigma: float) -> float:
         return _taxed_opponent(T, perf_coeffs(0.0, GaussianPrior(sigma), spec)[1])[0]
 
-    lo, hi, _ = _scan_bracket(resid, _SIGMA_SCAN)
-    sr = find_root(resid, lo, hi, f_tol=f_tol, log_space=True)
+    sr = find_root(resid, _SIGMA_SCAN)
     lam = lam_of(sr.root)
     r = fueltax_ratio(0.0, GaussianPrior(sr.root), lam, spec) - 1.0
-    converged = sr.converged and abs(r) <= f_tol
-    return SolveResult(lam, r, sr.iterations, lam_of(lo), lam_of(hi), converged), sr
+    converged = sr.converged and abs(r) <= F_TOL
+    lam_lo, lam_hi = lam_of(sr.bracket_lo), lam_of(sr.bracket_hi)
+    return SolveResult(lam, r, sr.iterations, lam_lo, lam_hi, converged), sr
 
 
 def certify_constant_mr(
@@ -248,15 +236,9 @@ def certify_constant_mr(
 
 
 def _solve_point(quantity: str, T: float) -> dict:
-    if quantity == "sigma_mr":
-        sr = solve_sigma_mr(T)
-        return {"T": T, "sigma_star": sr.root, "converged": sr.converged}
     if quantity == "mr_star":
-        sr = solve_sigma_mr(T)
-        spec = ProblemSpec(horizon=T)
-        _, f_sharp = perf_coeffs(0.0, GaussianPrior(sr.root), spec)
-        mr = f_sharp / own_gains(0.0, spec).e_sharp
-        return {"T": T, "sigma_star": sr.root, "mr_star": mr, "converged": sr.converged}
+        sr, mr = _solve_mr_star(T)
+        return {"T": T, "sigma_star": sr.root, "mr_star_optimal": mr, "converged": sr.converged}
     if quantity == "fueltax":
         lam_r, sig_r = solve_fueltax(T)
         return {
@@ -265,7 +247,8 @@ def _solve_point(quantity: str, T: float) -> dict:
             "sigma_ft": sig_r.root,
             "converged": lam_r.converged and sig_r.converged,
         }
-    raise ValueError(f"unknown sweep quantity {quantity!r}")
+    sr = solve_sigma_mr(T)
+    return {"T": T, "sigma_star": sr.root, "converged": sr.converged}
 
 
 def sweep(quantity: str, t_grid) -> SweepTable:
@@ -288,9 +271,4 @@ def sweep(quantity: str, t_grid) -> SweepTable:
         except Exception as exc:  # recorded, sweep continues
             return {"T": T, "error": f"{type(exc).__name__}: {exc}"}
 
-    return SweepTable(
-        quantity=quantity,
-        grid=grid,
-        records=tuple(solve_one(T) for T in grid),
-        metadata={"f_tol": 1e-9},
-    )
+    return SweepTable(quantity=quantity, grid=grid, records=tuple(solve_one(T) for T in grid))

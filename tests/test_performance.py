@@ -49,19 +49,6 @@ def test_coeffs_nonnegative_and_dominate_esharp():
             assert f_sharp >= gains(t, spec).e_sharp
 
 
-def test_dual_method_agreement():
-    # Gauss-Legendre quadrature vs backward RK4 on the coefficient ODEs
-    for T in (1.0, 2.0, 8.0):
-        spec = ProblemSpec(horizon=T)
-        for prior in (GaussianPrior(0.3), GaussianPrior(1.0), GaussianPrior(3.0), IMPROPER):
-            ts = (0.1, 0.5 * T, 0.9 * T) if prior.is_improper else (0.0, 0.5 * T, 0.9 * T)
-            for t in ts:
-                fq = perf_coeffs(t, prior, spec)
-                fr = perf_coeffs_rk4(t, prior, spec)
-                for a, b in zip(fq, fr):
-                    assert a == pytest.approx(b, rel=1e-8, abs=1e-12)
-
-
 def test_f0_at_zero_matches_direct_quadrature():
     # independent direct evaluation of the defining integral, sigma = 1, T = 1
     mpmath = pytest.importorskip("mpmath")

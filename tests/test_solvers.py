@@ -24,7 +24,7 @@ from agnostic_control.performance import mr_general, mr_general_limit
 
 
 def test_find_root_simple():
-    r = find_root(lambda x: x * x - 2.0, 0.0, 2.0, f_tol=1e-12)
+    r = find_root(lambda x: x * x - 2.0, (0.5, 1.0, 2.0))
     assert r.converged
     assert r.root == pytest.approx(2 ** 0.5, rel=1e-9)
     assert r.bracket_lo <= r.root <= r.bracket_hi
@@ -32,13 +32,14 @@ def test_find_root_simple():
 
 
 def test_find_root_log_space():
-    r = find_root(lambda x: np.log10(x) + 2.0, 1e-6, 1.0, f_tol=1e-12, log_space=True)
+    r = find_root(lambda x: np.log10(x) + 2.0, (1e-6, 1.0))
     assert r.root == pytest.approx(1e-2, rel=1e-6)
 
 
 def test_find_root_requires_sign_change():
-    with pytest.raises(NoRootError):
-        find_root(lambda x: x * x + 1.0, -1.0, 1.0, f_tol=1e-12)
+    with pytest.raises(NoRootError) as exc:
+        find_root(lambda x: x * x + 1.0, (0.5, 1.0))
+    assert exc.value.scan == [(0.5, 1.25), (1.0, 2.0)]
 
 
 def test_sigma_mr_certified_constant():
