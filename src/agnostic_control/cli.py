@@ -145,6 +145,9 @@ def _cmd_figures(args) -> int:
     # only once sweep has accepted the grid, so that a rejected call writes nothing
     os.makedirs(args.out, exist_ok=True)
     solved = [rec for rec in records if "error" not in rec]
+    for rec in records:
+        if "error" in rec:
+            print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
 
     if args.which == 2:
         if not solved:
@@ -158,8 +161,6 @@ def _cmd_figures(args) -> int:
     with open(out, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for rec in records:
-            if "error" in rec:
-                print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
             fh.write(",".join(_fmt(rec[c]) if c in rec else "" for c in columns) + "\n")
     _write_manifest(
         out.replace(".csv", ".manifest.json"),

@@ -56,16 +56,14 @@ _RK4_STEPS = 8000
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Per-drift regret values plus worst-case summaries for one strategy."""
+    """Per-drift additive and multiplicative regret of one strategy, with their
+    standard errors."""
 
     a_values: tuple[float, ...]
-    additive: tuple[float, ...] | None
-    multiplicative: tuple[float, ...] | None
-    ar_worst: float | None
-    mr_worst: float | None
-    strategy: dict
-    additive_se: tuple[float, ...] | None = None
-    multiplicative_se: tuple[float, ...] | None = None
+    additive: tuple[float, ...]
+    multiplicative: tuple[float, ...]
+    additive_se: tuple[float, ...]
+    multiplicative_se: tuple[float, ...]
 
 
 @lru_cache(maxsize=64)

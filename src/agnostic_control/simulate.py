@@ -307,11 +307,6 @@ def regret_empirical(
         a_values=a_values,
         additive=tuple(ar),
         multiplicative=tuple(mr),
-        ar_worst=max(ar),
-        mr_worst=max(mr),
-        strategy={**strategy.describe(), "T": config.spec.horizon,
-                  "T0": config.spec.t_start, "dt": config.dt,
-                  "n_paths": config.n_paths, "seed": config.seed},
         additive_se=tuple(ar_se),
         multiplicative_se=tuple(mr_se),
     )

@@ -8,9 +8,13 @@ variant asks both of those ratios to equal 1 against an opponent taxed at
 lambda: the a=0 condition gives lambda(sigma) in closed form, so
 solve_fueltax is again one root in sigma.
 
-Both solves use one search, find_root: the first sign change of the residual
-over a log-spaced scan of sigma, bisection in log sigma, then a bracket-guarded
-Newton polish on a numerically differenced residual, to |residual| <= F_TOL.
+Both solves use one search, find_root, over a log-spaced scan of sigma.  When
+the residual differs in sign at the scan's two ends, bisecting the scan's
+indices finds the adjacent pair around the sign change in about log2 of the
+scan's length evaluations; when the ends agree, the scan is walked from the
+start for the first change.  Bisection in log sigma then narrows that pair,
+and a bracket-guarded Newton polish on a numerically differenced residual
+takes it to |residual| <= F_TOL.
 """
 
 from __future__ import annotations
@@ -70,26 +74,44 @@ class SweepTable:
 
 
 def find_root(f: Callable[[float], float], xs) -> SolveResult:
-    """Root of f in its first sign change over the positive, increasing xs
+    """Root of f in a sign change over the positive, increasing xs
     (NoRootError, with the (x, f(x)) pairs as .scan, if there is none).
 
+    f is evaluated at both ends of xs first.  When their signs differ, the
+    bracket is the adjacent pair of xs that bisection over the indices of xs
+    closes on: the first sign change whenever f changes sign once over xs.
+    When they agree, xs is walked from the start for the first sign change.
     Bisection in log x narrows that bracket to _BRACKET_WIDTH, then Newton with
     a differenced slope takes over, bisecting when a step leaves the bracket.
     iterations counts the evaluations inside the bracket, its ends included.
     """
-    scan: list[tuple[float, float]] = []
-    for x in xs:
-        scan.append((float(x), f(float(x))))
-        if len(scan) > 1 and math.copysign(1.0, scan[-1][1]) != math.copysign(1.0, scan[-2][1]):
-            break
-    else:
-        err = NoRootError(f"no sign change over scan [{xs[0]}, {xs[-1]}]")
-        err.scan = scan
-        raise err
+    xs = [float(x) for x in xs]
+    values: dict[int, float] = {}
 
-    (a, fa), (b, _) = scan[-2:]
+    def sign(i: int) -> float:
+        if i not in values:
+            values[i] = f(xs[i])
+        return math.copysign(1.0, values[i])
+
+    lo, hi = 0, len(xs) - 1
+    if sign(lo) != sign(hi):
+        while hi - lo > 1:
+            m = (lo + hi) // 2
+            if sign(m) == sign(lo):
+                lo = m
+            else:
+                hi = m
+    else:
+        lo = next((i for i in range(hi) if sign(i) != sign(i + 1)), None)
+        if lo is None:
+            err = NoRootError(f"no sign change over scan [{xs[0]}, {xs[-1]}]")
+            err.scan = [(x, values[i]) for i, x in enumerate(xs)]
+            raise err
+        hi = lo + 1
+
+    a, fa, b = xs[lo], values[lo], xs[hi]
     iters = 2
-    for x, fx in scan[-2:]:
+    for x, fx in ((a, fa), (b, values[hi])):
         if abs(fx) <= F_TOL:
             return SolveResult(x, fx, iters, a, b, True)
 
@@ -130,9 +152,8 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
     return SolveResult(x, fx, iters, a, b, abs(fx) <= F_TOL)
 
 
-def solve_sigma_mr(T: float) -> SolveResult:
-    """Prior width sigma* making the competitive ratio independent of the drift:
-    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0."""
+def _sigma_mr_residual(T: float) -> Callable[[float], float]:
+    """sigma -> (e0 + F0)/e0 - F#/e# at horizon T, the residual solve_sigma_mr zeroes."""
     spec = ProblemSpec(horizon=T)
     g = own_gains(0.0, spec)
     e0, e_sharp = g.e0, g.e_sharp
@@ -141,7 +162,13 @@ def solve_sigma_mr(T: float) -> SolveResult:
         f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
         return (e0 + f0) / e0 - f_sharp / e_sharp
 
-    return find_root(resid, _SIGMA_SCAN)
+    return resid
+
+
+def solve_sigma_mr(T: float) -> SolveResult:
+    """Prior width sigma* making the competitive ratio independent of the drift:
+    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0."""
+    return find_root(_sigma_mr_residual(T), _SIGMA_SCAN)
 
 
 def _solve_mr_star(T: float) -> tuple[SolveResult, float]:
@@ -193,6 +220,20 @@ def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
     return lam, lam * math.sqrt(lam) * e0_unit(T / math.sqrt(lam))
 
 
+def _fueltax_residual(T: float) -> Callable[[float], float]:
+    """sigma -> 1 - (e0_lambda - e0)/F0 at horizon T, lambda = lambda(sigma):
+    the residual solve_fueltax zeroes."""
+    spec = ProblemSpec(horizon=T)
+    e0 = own_gains(0.0, spec).e0
+
+    def resid(sigma: float) -> float:
+        f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
+        extra = _taxed_opponent(T, f_sharp)[1] - e0
+        return 1.0 - extra / f0 if f0 > 0.0 else -math.inf
+
+    return resid
+
+
 def solve_fueltax(T: float) -> tuple[SolveResult, SolveResult]:
     """Fuel-tax regret at horizon T: the fuel weight lambda* of the informed
     opponent at which a prior, of width sigma_ft, makes the taxed cost ratio
@@ -205,17 +246,11 @@ def solve_fueltax(T: float) -> tuple[SolveResult, SolveResult]:
     with the residual taken relative to F0.
     """
     spec = ProblemSpec(horizon=T)
-    e0 = own_gains(0.0, spec).e0
-
-    def resid(sigma: float) -> float:
-        f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
-        extra = _taxed_opponent(T, f_sharp)[1] - e0
-        return 1.0 - extra / f0 if f0 > 0.0 else -math.inf
 
     def lam_of(sigma: float) -> float:
         return _taxed_opponent(T, perf_coeffs(0.0, GaussianPrior(sigma), spec)[1])[0]
 
-    sr = find_root(resid, _SIGMA_SCAN)
+    sr = find_root(_fueltax_residual(T), _SIGMA_SCAN)
     lam = lam_of(sr.root)
     r = fueltax_ratio(0.0, GaussianPrior(sr.root), lam, spec) - 1.0
     converged = sr.converged and abs(r) <= F_TOL

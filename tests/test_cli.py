@@ -80,6 +80,18 @@ def test_figures_3_lambda_near_reference(tmp_path, capsys):
     assert 1.25 <= lam <= 1.35
 
 
+def test_figures_2_says_why_every_point_failed(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "figures", "--which", "2", "--grid", "1e-8,1e-7", "--out", str(tmp_path)
+    )
+    assert code == 4
+    assert err.splitlines() == [
+        "warning: T=1e-08: NoRootError: no sign change over scan [0.001, 1000.0]",
+        "warning: T=1e-07: NoRootError: no sign change over scan [0.001, 1000.0]",
+        "error: every sweep point failed",
+    ]
+
+
 def test_simulate_known_a(capsys):
     code, out, _ = run_cli(
         capsys,

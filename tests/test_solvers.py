@@ -1,8 +1,12 @@
 """Root-finding layer: sigma* for constant competitive ratio, worst-case MR,
 the fuel-tax solve, and horizon sweeps."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agnostic_control import (
     A_GRID_DEFAULT,
@@ -20,6 +24,7 @@ from agnostic_control import (
     sweep,
     worst_case_mr,
 )
+from agnostic_control import solvers
 from agnostic_control.performance import mr_general, mr_general_limit
 
 
@@ -40,6 +45,56 @@ def test_find_root_requires_sign_change():
     with pytest.raises(NoRootError) as exc:
         find_root(lambda x: x * x + 1.0, (0.5, 1.0))
     assert exc.value.scan == [(0.5, 1.25), (1.0, 2.0)]
+
+
+def test_find_root_bisects_the_scan_to_the_pair_a_walk_finds():
+    xs = [float(x) for x in solvers._SIGMA_SCAN]
+    first = next(i for i in range(len(xs)) if xs[i + 1] > 2.5)
+    lo, hi = xs[first], xs[first + 1]
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.log(x) - math.log(2.5)
+
+    r = find_root(f, solvers._SIGMA_SCAN)
+    assert r.converged and r.root == pytest.approx(2.5, rel=1e-9)
+    assert sum(x in xs for x in seen) <= 7  # both ends, then log2(30) bisections
+    assert all(lo < x < hi for x in seen if x not in xs)
+    assert lo <= r.bracket_lo <= r.root <= r.bracket_hi <= hi
+
+
+def test_find_root_walks_when_the_ends_agree_in_sign():
+    # f > 0 at both ends, with sign changes at 1 and 3: the walk takes the first
+    r = find_root(lambda x: (x - 1.0) * (x - 3.0), (0.5, 2.0, 4.0))
+    assert r.converged and r.root == pytest.approx(1.0, rel=1e-9)
+    assert 0.5 <= r.bracket_lo <= r.root <= r.bracket_hi <= 2.0
+
+
+def test_solves_quadrature_budget(monkeypatch):
+    # one F0/F# quadrature per residual evaluation; walking the scan made 30 and 33
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return perf_coeffs(*args)
+
+    monkeypatch.setattr(solvers, "perf_coeffs", counted)
+    solve_sigma_mr(2.0)
+    assert len(calls) <= 20
+    calls.clear()
+    solve_fueltax(2.0)
+    assert len(calls) <= 23
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(log_T=st.floats(-2.0, 3.0))
+def test_residuals_change_sign_once_over_the_scan(log_T):
+    # what lets find_root bisect the scan: its bracket is then the first sign change
+    T = 10.0 ** log_T
+    for resid in (solvers._sigma_mr_residual(T), solvers._fueltax_residual(T)):
+        signs = [math.copysign(1.0, resid(float(s))) for s in solvers._SIGMA_SCAN]
+        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1, T
 
 
 def test_sigma_mr_certified_constant():
