@@ -12,9 +12,9 @@ Both solves use one search, find_root, over a log-spaced scan of sigma.  When
 the residual differs in sign at the scan's two ends, bisecting the scan's
 indices finds the adjacent pair around the sign change in about log2 of the
 scan's length evaluations; when the ends agree, the scan is walked from the
-start for the first change.  Bisection in log sigma then narrows that pair,
-and a bracket-guarded Newton polish on a numerically differenced residual
-takes it to |residual| <= F_TOL.
+start for the first change.  The Illinois method (Dowell & Jarratt, BIT 11,
+1971), a regula falsi in log sigma that halves the value of an end kept
+twice in a row, then narrows that pair until |residual| <= F_TOL.
 """
 
 from __future__ import annotations
@@ -38,14 +38,10 @@ from .performance import (
 
 #: The 31 prior widths, log-spaced over [1e-3, 1e3], scanned for a sign change.
 _SIGMA_SCAN = np.logspace(-3.0, 3.0, 31)
-#: Newton steps for the fuel weight; where no root exists each one doubles lambda.
+#: Most Newton steps _taxed_opponent takes for the fuel weight.
 _NEWTON_MAX = 64
 #: Residual magnitude at which every root solve counts as converged.
 F_TOL = 1e-9
-#: Width in log x below which find_root stops bisecting and starts Newton.
-_BRACKET_WIDTH = 1e-2
-#: Relative step of the central difference that gives the Newton slope.
-_NEWTON_REL_STEP = 1e-6
 #: Most evaluations find_root makes inside the bracket.
 _MAX_ITER = 200
 
@@ -68,7 +64,6 @@ class SolveResult:
 class SweepTable:
     """Per-horizon solved quantities; failed points carry an 'error' entry."""
 
-    quantity: str
     grid: tuple[float, ...]
     records: tuple[dict, ...]
 
@@ -81,9 +76,12 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
     bracket is the adjacent pair of xs that bisection over the indices of xs
     closes on: the first sign change whenever f changes sign once over xs.
     When they agree, xs is walked from the start for the first sign change.
-    Bisection in log x narrows that bracket to _BRACKET_WIDTH, then Newton with
-    a differenced slope takes over, bisecting when a step leaves the bracket.
-    iterations counts the evaluations inside the bracket, its ends included.
+    The Illinois method narrows that bracket in u = log x: each step takes the
+    secant point of the bracket's ends, or their midpoint when that point is
+    not strictly inside, and replaces the end whose value has its sign; an
+    end kept twice in a row has its stored value halved, which stops a convex
+    f from holding one end fixed.  iterations counts the evaluations inside
+    the bracket, its ends included.
     """
     xs = [float(x) for x in xs]
     values: dict[int, float] = {}
@@ -109,47 +107,36 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
             raise err
         hi = lo + 1
 
-    a, fa, b = xs[lo], values[lo], xs[hi]
+    a, fa, b, fb = xs[lo], values[lo], xs[hi], values[hi]
     iters = 2
-    for x, fx in ((a, fa), (b, values[hi])):
+    for x, fx in ((a, fa), (b, fb)):
         if abs(fx) <= F_TOL:
             return SolveResult(x, fx, iters, a, b, True)
 
-    def update(x: float, fx: float) -> None:
-        nonlocal a, b, fa
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
-            a, fa = x, fx
-        else:
-            b = x
-
-    def mid() -> float:
-        return math.exp(0.5 * (math.log(a) + math.log(b)))
-
-    # bisection phase
-    while math.log(b) - math.log(a) > _BRACKET_WIDTH and iters < _MAX_ITER:
-        x = mid()
-        fx = f(x)
-        iters += 1
-        if abs(fx) <= F_TOL:
-            return SolveResult(x, fx, iters, a, b, True)
-        update(x, fx)
-
-    # Newton phase with bracket guard
-    x = mid()
-    fx = f(x)
-    iters += 1
+    ua, ub = math.log(a), math.log(b)
+    kept = 0  # the end kept by the last step: -1 for a, +1 for b
     while iters < _MAX_ITER:
-        if abs(fx) <= F_TOL:
-            return SolveResult(x, fx, iters, a, b, True)
-        update(x, fx)
-        h = max(abs(x), 1e-8) * _NEWTON_REL_STEP
-        df = (f(x + h) - f(x - h)) / (2.0 * h)
-        iters += 2
-        x_new = x - fx / df if df != 0.0 else math.nan
-        x = x_new if a < x_new < b else mid()
+        u = ub - fb * (ub - ua) / (fb - fa)
+        # written as `not lo < u` so that a NaN point, from an end value that
+        # is not finite, takes the midpoint
+        if not ua < u < ub:
+            u = 0.5 * (ua + ub)
+        x = math.exp(u)
         fx = f(x)
         iters += 1
-    return SolveResult(x, fx, iters, a, b, abs(fx) <= F_TOL)
+        if abs(fx) <= F_TOL:
+            return SolveResult(x, fx, iters, a, b, True)
+        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
+            a, ua, fa = x, u, fx
+            if kept == 1:
+                fb *= 0.5
+            kept = 1
+        else:
+            b, ub, fb = x, u, fx
+            if kept == -1:
+                fa *= 0.5
+            kept = -1
+    return SolveResult(x, fx, iters, a, b, False)
 
 
 def _sigma_mr_residual(T: float) -> Callable[[float], float]:
@@ -203,10 +190,14 @@ def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
 
     de#/dlambda = log cosh s - (s/2) tanh s, s = T/sqrt(lambda), is positive
     and falls as lambda grows, so Newton from lambda = 1 climbs to the root
-    without overshooting.  When f_sharp is at or past the lambda -> inf limit
-    T^2/2, each step at least doubles lambda, and after _NEWTON_MAX of them
-    e0 is its limit T^3/3 to float precision.
+    without overshooting.  e#_lambda stays below its lambda -> inf limit T^2/2,
+    so when f_sharp is at or past it there is no root: lambda is inf and e0 its
+    limit T^3/3.  e0_lambda = T^3 (s - tanh s)/s^3 comes from its series
+    T^3 (1/3 - 2 s^2/15) below s = 1e-4, where lambda^{3/2} may overflow and
+    s - tanh s underflow.
     """
+    if f_sharp >= 0.5 * T * T:
+        return math.inf, T ** 3 / 3.0
     lam = 1.0
     for _ in range(_NEWTON_MAX):
         s = T / math.sqrt(lam)
@@ -217,7 +208,10 @@ def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
         if not (gap > 4e-16 * f_sharp and slope > 0.0):
             break
         lam += gap / slope
-    return lam, lam * math.sqrt(lam) * e0_unit(T / math.sqrt(lam))
+    s = T / math.sqrt(lam)
+    if s < 1e-4:
+        return lam, T ** 3 * (1.0 / 3.0 - s * s * (2.0 / 15.0))
+    return lam, lam * math.sqrt(lam) * e0_unit(s)
 
 
 def _fueltax_residual(T: float) -> Callable[[float], float]:
@@ -306,4 +300,4 @@ def sweep(quantity: str, t_grid) -> SweepTable:
         except Exception as exc:  # recorded, sweep continues
             return {"T": T, "error": f"{type(exc).__name__}: {exc}"}
 
-    return SweepTable(quantity=quantity, grid=grid, records=tuple(solve_one(T) for T in grid))
+    return SweepTable(grid=grid, records=tuple(solve_one(T) for T in grid))
