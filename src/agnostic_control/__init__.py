@@ -23,7 +23,7 @@ from .model import (
 )
 from .performance import (
     A_GRID_DEFAULT,
-    RegretReport,
+    RegretForm,
     additive_regret,
     bayes_cost,
     fueltax_ratio,
@@ -32,9 +32,11 @@ from .performance import (
     opponent_cost,
     perf_coeffs,
     perf_coeffs_rk4,
+    regret_form,
 )
 from .simulate import (
     CostEstimate,
+    RegretReport,
     SimConfig,
     Strategy,
     make_strategy,

@@ -28,13 +28,7 @@ from . import __version__
 from .bayes import GaussianPrior
 from .errors import BudgetError, DomainError, NoRootError, QuadratureError
 from .model import ProblemSpec, gains
-from .performance import (
-    A_GRID_DEFAULT,
-    additive_regret,
-    fueltax_ratio,
-    multiplicative_regret,
-    multiplicative_regret_limit,
-)
+from .performance import A_GRID_DEFAULT, regret_form
 from .simulate import (
     SimConfig,
     analytic_cost,
@@ -153,9 +147,13 @@ def _cmd_figures(args) -> int:
         if not solved:
             print("error: every sweep point failed", file=sys.stderr)
             return EXIT_SOLVER
-        sigma_fixed = max(solved, key=lambda r: r["mr_star_optimal"])["sigma_star"]
+        peak = max(solved, key=lambda r: r["mr_star_optimal"])
+        sigma_fixed = peak["sigma_star"]
         for rec in solved:
-            rec["mr_star_fixed_sigma"] = worst_case_mr(rec["T"], sigma=sigma_fixed)
+            # at the peak, sigma_fixed is the row's own sigma*, whose form the sweep kept
+            rec["mr_star_fixed_sigma"] = (
+                peak["form"].sup if rec is peak else worst_case_mr(rec["T"], sigma=sigma_fixed)
+            )
 
     out = os.path.join(args.out, f"fig{args.which}.csv")
     with open(out, "w", newline="\n") as fh:
@@ -222,7 +220,8 @@ def _cmd_regret(args) -> int:
             raise DomainError("--sigma auto is not defined for additive regret")
         else:
             prior = GaussianPrior(_parse_sigma(args.sigma))
-        vals = [additive_regret(a, prior, spec) for a in a_grid]
+        form = regret_form(prior, spec, additive=True)
+        vals = [form(a) for a in a_grid]
         result["sigma"] = "improper" if prior.is_improper else prior.sigma
         result["additive_regret"] = vals
         result["worst_case"] = max(vals)
@@ -234,19 +233,19 @@ def _cmd_regret(args) -> int:
             sr = solve_sigma_mr(args.T)
             if not sr.converged:
                 raise NoRootError(f"sigma* solve did not converge at T={args.T}")
-            sigma = sr.root
+            sigma, form = sr.root, sr.form
         else:
             sigma = _parse_sigma(args.sigma)
-        prior = GaussianPrior(sigma)
-        vals = [multiplicative_regret(a, prior, spec) for a in a_grid]
-        limit = multiplicative_regret_limit(prior, spec)
+            form = regret_form(GaussianPrior(sigma), spec)
+        vals = [form(a) for a in a_grid]
+        limit = form.limit
         result["sigma"] = sigma
         result["multiplicative_regret"] = vals
         result["limit_large_a"] = limit
         result["worst_case"] = max(max(vals), limit)
         result["spread"] = max(max(vals), limit) - min(min(vals), limit)
     else:  # fueltax
-        spec = ProblemSpec(horizon=args.T)
+        ProblemSpec(horizon=args.T)  # rejects a bad horizon before the other checks
         if args.T0 != 0.0:
             raise DomainError("fuel-tax regret requires --T0 0")
         if args.sigma != "auto":
@@ -254,8 +253,7 @@ def _cmd_regret(args) -> int:
         lam_r, sig_r = solve_fueltax(args.T)
         if not (lam_r.converged and sig_r.converged):
             raise NoRootError(f"fuel-tax solve did not converge at T={args.T}")
-        prior = GaussianPrior(sig_r.root)
-        vals = [fueltax_ratio(a, prior, lam_r.root, spec) for a in a_grid]
+        vals = [lam_r.form(a) for a in a_grid]
         result["sigma"] = sig_r.root
         result["lambda"] = lam_r.root
         result["cost_ratio"] = vals

@@ -14,17 +14,18 @@ The F# form follows from swapping the order of integration in its defining
 double integral.  perf_coeffs evaluates both by Gauss-Legendre quadrature;
 the independent cross-check perf_coeffs_rk4 integrates the coefficient ODEs.
 
-From these come the three regret functionals: additive regret (requires an
-observation phase t_start > 0), multiplicative regret (competitive ratio,
-t_start = 0), and the fuel-tax cost ratio against an opponent whose control
-effort is taxed at weight lambda.
+From q(0) = 0 our expected cost and the informed opponent's are even
+quadratics in a, so every regret is one Mobius function of a^2, monotone from
+a = 0 to a -> infinity: r(a) = (alpha + beta a^2) / (gamma + delta a^2).
+regret_form returns it per prior as a RegretForm: the cost ratio against an
+opponent taxed at weight lambda (at lambda = 1 the competitive ratio), or the
+additive regret (gamma = 1, delta = 0).  Each named regret is one use of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -54,20 +55,14 @@ _EST_RTOL = 1e-10
 _RK4_STEPS = 8000
 
 
-@dataclass(frozen=True)
-class RegretReport:
-    """Per-drift additive and multiplicative regret of one strategy, with their
-    standard errors."""
-
-    a_values: tuple[float, ...]
-    additive: tuple[float, ...]
-    multiplicative: tuple[float, ...]
-    additive_se: tuple[float, ...]
-    multiplicative_se: tuple[float, ...]
-
-
-@lru_cache(maxsize=64)
-def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, float]:
+def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
+    """(F0(t), F#(t)) for the given prior, by composite Gauss-Legendre quadrature;
+    QuadratureError when the rule at half the nodes disagrees by over 1e-10 relative,
+    SingularityError when t + precision is 0 or (T - t)/(t + precision) overflows."""
+    _check_time(t, spec)
+    if prior.is_improper and t <= 0.0:
+        raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
+    t, precision, horizon = float(t), prior.precision, spec.horizon
     # In w = log1p((tau - t)/c), c = t + p, with x = expm1(w) = (tau - t)/c (no
     # cancellation) and d tau / (tau + p)^2 = dw / (c (1 + x)), the integrands
     #     F0 = c int e1^2/4 / (1 + x) dw,   F# - e_sharp = int e1^2/4 x / (1 + x) dw
@@ -109,16 +104,6 @@ def _coeffs_cached(t: float, precision: float, horizon: float) -> tuple[float, f
             f"{precision}, T={horizon}: I0 {i0} vs {i0_half}, tail {tail} vs {tail_half}"
         )
     return float(c * i0), float(f_sharp)
-
-
-def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
-    """(F0(t), F#(t)) for the given prior, by composite Gauss-Legendre quadrature;
-    QuadratureError when the rule at half the nodes disagrees by over 1e-10 relative,
-    SingularityError when t + precision is 0 or (T - t)/(t + precision) overflows."""
-    _check_time(t, spec)
-    if prior.is_improper and t <= 0.0:
-        raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
-    return _coeffs_cached(float(t), prior.precision, spec.horizon)
 
 
 def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
@@ -180,60 +165,92 @@ def bayes_cost(
     return g.e2 * q * q + g.e1 * q * a + g.e0 * a * a + f0 * d * d + f_sharp
 
 
-def additive_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """Expected additive regret of the Bayesian strategy started from q(0)=0.
+@dataclass(frozen=True)
+class RegretForm:
+    """A regret as a function of the drift a: (alpha + beta a^2) / (gamma + delta a^2),
+    with nonnegative coefficients and gamma > 0, so monotone in a^2."""
 
-    Requires an observation phase t_start > 0 (the regret diverges as
-    t_start -> 0).  For the improper prior the result is independent of a.
-    """
-    _check_drift(a)
+    alpha: float
+    beta: float
+    gamma: float
+    delta: float
+
+    def __call__(self, a: float) -> float:
+        _check_drift(a)
+        a2 = a * a
+        den = self.delta * a2 + self.gamma
+        if not math.isfinite(den):  # e0 ~ T grows with the horizon
+            raise DomainError(f"the opponent's cost overflows at a={a}")
+        return (self.beta * a2 + self.alpha) / den
+
+    @property
+    def limit(self) -> float:
+        """The a -> infinity limit: beta/delta, or inf for an additive regret growing in a."""
+        if self.delta == 0.0:
+            return math.inf if self.beta > 0.0 else self.alpha / self.gamma
+        return self.beta / self.delta
+
+    @property
+    def sup(self) -> float:
+        """The supremum over every drift, attained at a = 0 or as a -> infinity."""
+        return max(self(0.0), self.limit)
+
+
+def regret_form(
+    prior: GaussianPrior, spec: ProblemSpec, lambda_opp: float = 1.0, *,
+    additive: bool = False, coeffs: tuple[float, float] | None = None,
+) -> RegretForm:
+    """The regret of the Bayesian strategy against the informed opponent, both from
+    q(0) = 0 and observing only until t0 = t_start: the ratio of our (untaxed)
+    expected cost to the opponent's at fuel weight lambda_opp >= 1 (checked by
+    ProblemSpec), or with additive=True our cost minus the untaxed opponent's.
+    q(t0) ~ N(a t0, t0) and E (a_bar - a)^2 = (t0 + a^2 p^2)/(t0 + p)^2 give the
+    coefficients.  coeffs is (F0, F#) at t0 when the caller holds it already."""
     t0 = spec.t_start
-    if t0 <= 0.0:
+    if additive and t0 <= 0.0:
         raise DomainError("additive regret requires t_start > 0 (it diverges at 0)")
-    f0, f_sharp = perf_coeffs(t0, prior, spec)
-    e_sharp = own_gains(t0, spec).e_sharp
-    if prior.is_improper:
-        return f0 / t0 + f_sharp - e_sharp
+    f0, f_sharp = perf_coeffs(t0, prior, spec) if coeffs is None else coeffs
+    g = own_gains(t0, spec)
     p = prior.precision
-    # (t0 + a^2 p^2) / (t0 + p)^2, arranged so that no intermediate overflows
     d = t0 + p
-    weight = t0 / d / d + (a * p / d) ** 2
-    return f0 * weight + f_sharp - e_sharp
+    # F0 times the two weights of E (a_bar - a)^2, formed so that no intermediate overflows
+    f0_w0, f0_w2 = f0 / d * (t0 / d), f0 * (p / d) ** 2
+    if additive:
+        return RegretForm(f0_w0 + f_sharp - g.e_sharp, f0_w2, 1.0, 0.0)
+    o = g if lambda_opp == 1.0 else gains(t0, spec.with_fuel_weight(lambda_opp))
+    return RegretForm(
+        g.e2 * t0 + f_sharp + f0_w0,
+        (g.e2 * t0 + g.e1) * t0 + g.e0 + f0_w2,
+        o.e2 * t0 + o.e_sharp,
+        (o.e2 * t0 + o.e1) * t0 + o.e0,
+    )
+
+
+def additive_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
+    """Expected additive regret of the Bayesian strategy started from q(0)=0: needs
+    t_start > 0 (it diverges as t_start -> 0); independent of a for the improper prior."""
+    return regret_form(prior, spec, additive=True)(a)
 
 
 def multiplicative_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
     """Competitive ratio of the Bayesian strategy vs the informed opponent, t_start=0:
     the fuel-tax ratio against an untaxed opponent."""
-    if prior.is_improper:
-        raise DomainError("multiplicative regret needs a proper prior (t_start = 0)")
     return fueltax_ratio(a, prior, 1.0, spec)
 
 
 def multiplicative_regret_limit(prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """The a -> infinity limit of the competitive ratio (t_start = 0)."""
+    """The a -> infinity limit of the competitive ratio (t_start = 0): (e0 + F0)/e0."""
     if spec.t_start != 0.0:
         raise DomainError("multiplicative regret is defined for t_start = 0")
-    g = own_gains(0.0, spec)
-    f0, _ = perf_coeffs(0.0, prior, spec)
-    return (g.e0 + f0) / g.e0
+    return regret_form(prior, spec).limit
 
 
-def fueltax_ratio(
-    a: float, prior: GaussianPrior, lambda_opp: float, spec: ProblemSpec
-) -> float:
-    """Ratio of our (untaxed) Bayesian cost to the informed opponent's cost
-    at fuel weight lambda_opp >= 1 (checked by ProblemSpec), both from (q=0, t=0)."""
-    _check_drift(a)
+def fueltax_ratio(a: float, prior: GaussianPrior, lambda_opp: float, spec: ProblemSpec) -> float:
+    """Ratio of our (untaxed) Bayesian cost to the informed opponent's cost at fuel
+    weight lambda_opp >= 1, both from (q=0, t=0): ((e0 + F0) a^2 + F#)/(e0_lam a^2 + e#_lam)."""
     if spec.t_start != 0.0:
         raise DomainError("fuel-tax and multiplicative ratios are defined for t_start = 0")
-    g1 = own_gains(0.0, spec)
-    f0, f_sharp = perf_coeffs(0.0, prior, spec)
-    g_lam = gains(0.0, spec.with_fuel_weight(lambda_opp))
-    a2 = a * a
-    opp = g_lam.e0 * a2 + g_lam.e_sharp
-    if not math.isfinite(opp):  # e0 ~ T grows with the horizon
-        raise DomainError(f"the opponent's cost overflows at a={a}, T={spec.horizon}")
-    return ((g1.e0 + f0) * a2 + f_sharp) / opp
+    return regret_form(prior, spec, lambda_opp)(a)
 
 
 def opponent_cost(a: float, spec: ProblemSpec) -> float:
@@ -255,20 +272,9 @@ def opponent_cost(a: float, spec: ProblemSpec) -> float:
 
 def mr_general(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
     """Competitive ratio allowing an observation phase t_start > 0."""
-    if spec.t_start == 0.0:
-        return multiplicative_regret(a, prior, spec)
-    return 1.0 + additive_regret(a, prior, spec) / opponent_cost(a, spec)
+    return regret_form(prior, spec)(a)
 
 
 def mr_general_limit(prior: GaussianPrior, spec: ProblemSpec) -> float:
     """The a -> infinity limit of mr_general."""
-    if spec.t_start == 0.0:
-        return multiplicative_regret_limit(prior, spec)
-    t0 = spec.t_start
-    g = own_gains(t0, spec)
-    denom = g.e2 * t0 * t0 + g.e1 * t0 + g.e0
-    if prior.is_improper:
-        return 1.0
-    f0, _ = perf_coeffs(t0, prior, spec)
-    p = prior.precision
-    return 1.0 + f0 * p * p / (t0 + p) ** 2 / denom
+    return regret_form(prior, spec).limit

@@ -28,10 +28,22 @@ import numpy as np
 from .bayes import GaussianPrior, posterior
 from .errors import BudgetError, DomainError, NonFiniteError
 from .model import ProblemSpec, control_known_a, value_known_a
-from .performance import RegretReport, additive_regret, bayes_cost, opponent_cost
+from .performance import additive_regret, bayes_cost, opponent_cost
 
 MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
+
+
+@dataclass(frozen=True)
+class RegretReport:
+    """Per-drift additive and multiplicative regret of one strategy, with their
+    standard errors."""
+
+    a_values: tuple[float, ...]
+    additive: tuple[float, ...]
+    multiplicative: tuple[float, ...]
+    additive_se: tuple[float, ...]
+    multiplicative_se: tuple[float, ...]
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """Root-finding and sweep layer for the agnostic control strategies.
 
-The competitive ratio of the Bayesian strategy is a Mobius function of a^2,
-so it is constant in a exactly when the ratio at a=0 equals the a->infinity
-limit.  solve_sigma_mr finds the prior width sigma* achieving that balance;
-worst_case_mr evaluates the resulting (constant) ratio.  The fuel-tax
-variant asks both of those ratios to equal 1 against an opponent taxed at
-lambda: the a=0 condition gives lambda(sigma) in closed form, so
-solve_fueltax is again one root in sigma.
+Every regret is a performance.regret_form, monotone in a^2, so its supremum
+is max(r(0), r(inf)), and the competitive ratio is constant in a exactly when
+r(0) = F#/e# equals the limit (e0 + F0)/e0.  solve_sigma_mr finds the prior
+width sigma* achieving that balance, and the form there; worst_case_mr
+evaluates the resulting ratio.  The fuel-tax variant asks both of those
+ratios to equal 1 against an opponent taxed at lambda: the a=0 condition
+gives lambda(sigma) in closed form, so solve_fueltax is again one root in
+sigma.  A solve integrates F0/F# once for each sigma it tries.
 
 Both solves use one search, find_root, over a log-spaced scan of sigma.  When
 the residual differs in sign at the scan's two ends, bisecting the scan's
@@ -20,7 +21,7 @@ twice in a row, then narrows that pair until |residual| <= F_TOL.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,13 +29,7 @@ import numpy as np
 from .bayes import GaussianPrior
 from .errors import DomainError, NoRootError
 from .model import ProblemSpec, e0_unit, log_cosh, own_gains
-from .performance import (
-    A_GRID_DEFAULT,
-    fueltax_ratio,
-    multiplicative_regret,
-    multiplicative_regret_limit,
-    perf_coeffs,
-)
+from .performance import A_GRID_DEFAULT, RegretForm, perf_coeffs, regret_form
 
 #: The 31 prior widths, log-spaced over [1e-3, 1e3], scanned for a sign change.
 _SIGMA_SCAN = np.logspace(-3.0, 3.0, 31)
@@ -58,6 +53,8 @@ class SolveResult:
     bracket_lo: float
     bracket_hi: float
     converged: bool
+    #: the regret form at the root, where the root is a prior width (None from find_root)
+    form: RegretForm | None = None
 
 
 @dataclass(frozen=True)
@@ -80,8 +77,9 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
     secant point of the bracket's ends, or their midpoint when that point is
     not strictly inside, and replaces the end whose value has its sign; an
     end kept twice in a row has its stored value halved, which stops a convex
-    f from holding one end fixed.  iterations counts the evaluations inside
-    the bracket, its ends included.
+    f from holding one end fixed.  When the next point would equal an end, the
+    bracket has closed to adjacent floats: the last point evaluated is returned
+    unconverged.  iterations counts the evaluations inside the bracket, ends included.
     """
     xs = [float(x) for x in xs]
     values: dict[int, float] = {}
@@ -121,8 +119,10 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
         # is not finite, takes the midpoint
         if not ua < u < ub:
             u = 0.5 * (ua + ub)
-        x = math.exp(u)
-        fx = f(x)
+        x_next = math.exp(u)
+        if x_next in (a, b):  # no float is left strictly inside the bracket
+            break
+        x, fx = x_next, f(x_next)
         iters += 1
         if abs(fx) <= F_TOL:
             return SolveResult(x, fx, iters, a, b, True)
@@ -139,14 +139,28 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
     return SolveResult(x, fx, iters, a, b, False)
 
 
-def _sigma_mr_residual(T: float) -> Callable[[float], float]:
-    """sigma -> (e0 + F0)/e0 - F#/e# at horizon T, the residual solve_sigma_mr zeroes."""
-    spec = ProblemSpec(horizon=T)
-    g = own_gains(0.0, spec)
+def _coeffs_at_zero(T: float) -> Callable[[float], tuple[float, float]]:
+    """sigma -> (F0, F#) at t = 0 and horizon T, integrated once per sigma: one
+    solve keeps its own, to read its root and bracket ends back."""
+    spec, seen = ProblemSpec(horizon=T), {}
+
+    def coeffs(sigma: float) -> tuple[float, float]:
+        if sigma not in seen:
+            seen[sigma] = perf_coeffs(0.0, GaussianPrior(sigma), spec)
+        return seen[sigma]
+
+    return coeffs
+
+
+def _sigma_mr_residual(T: float, coeffs=None) -> Callable[[float], float]:
+    """sigma -> (e0 + F0)/e0 - F#/e# at horizon T, F0/F# read from coeffs: the
+    residual solve_sigma_mr zeroes."""
+    coeffs = coeffs or _coeffs_at_zero(T)
+    g = own_gains(0.0, ProblemSpec(horizon=T))
     e0, e_sharp = g.e0, g.e_sharp
 
     def resid(sigma: float) -> float:
-        f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
+        f0, f_sharp = coeffs(sigma)
         return (e0 + f0) / e0 - f_sharp / e_sharp
 
     return resid
@@ -154,34 +168,22 @@ def _sigma_mr_residual(T: float) -> Callable[[float], float]:
 
 def solve_sigma_mr(T: float) -> SolveResult:
     """Prior width sigma* making the competitive ratio independent of the drift:
-    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0."""
-    return find_root(_sigma_mr_residual(T), _SIGMA_SCAN)
-
-
-def _solve_mr_star(T: float) -> tuple[SolveResult, float]:
-    """The sigma* solve at horizon T and the constant competitive ratio F#/e# there."""
-    sr = solve_sigma_mr(T)
-    spec = ProblemSpec(horizon=T)
-    _, f_sharp = perf_coeffs(0.0, GaussianPrior(sr.root), spec)
-    return sr, f_sharp / own_gains(0.0, spec).e_sharp
+    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0; .form is the ratio there."""
+    coeffs = _coeffs_at_zero(T)
+    sr = find_root(_sigma_mr_residual(T, coeffs), _SIGMA_SCAN)
+    form = regret_form(GaussianPrior(sr.root), ProblemSpec(horizon=T), coeffs=coeffs(sr.root))
+    return replace(sr, form=form)
 
 
 def worst_case_mr(T: float, sigma: float | None = None) -> float:
-    """Worst-case competitive ratio at horizon T.
-
-    With sigma=None the optimal sigma*(T) is solved first and the (constant)
-    ratio is returned.  For a fixed sigma the ratio is a monotone Mobius
-    function of a^2, so the supremum is the larger of the a=0 value and the
-    analytic a->infinity limit.
-    """
+    """Worst-case competitive ratio at horizon T: at a fixed sigma the supremum
+    of its form; with sigma=None the constant ratio F#/e# at sigma*(T)."""
     if sigma is None:
-        sr, mr = _solve_mr_star(T)
+        sr = solve_sigma_mr(T)
         if not sr.converged:
             raise NoRootError(f"sigma* solve did not converge at T={T}")
-        return mr
-    spec = ProblemSpec(horizon=T)
-    prior = GaussianPrior(sigma)
-    return max(multiplicative_regret(0.0, prior, spec), multiplicative_regret_limit(prior, spec))
+        return sr.form(0.0)
+    return regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T)).sup
 
 
 def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
@@ -214,14 +216,14 @@ def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
     return lam, lam * math.sqrt(lam) * e0_unit(s)
 
 
-def _fueltax_residual(T: float) -> Callable[[float], float]:
-    """sigma -> 1 - (e0_lambda - e0)/F0 at horizon T, lambda = lambda(sigma):
-    the residual solve_fueltax zeroes."""
-    spec = ProblemSpec(horizon=T)
-    e0 = own_gains(0.0, spec).e0
+def _fueltax_residual(T: float, coeffs=None) -> Callable[[float], float]:
+    """sigma -> 1 - (e0_lambda - e0)/F0 at horizon T, lambda = lambda(sigma), with
+    F0/F# read as in _sigma_mr_residual: the residual solve_fueltax zeroes."""
+    coeffs = coeffs or _coeffs_at_zero(T)
+    e0 = own_gains(0.0, ProblemSpec(horizon=T)).e0
 
     def resid(sigma: float) -> float:
-        f0, f_sharp = perf_coeffs(0.0, GaussianPrior(sigma), spec)
+        f0, f_sharp = coeffs(sigma)
         extra = _taxed_opponent(T, f_sharp)[1] - e0
         return 1.0 - extra / f0 if f0 > 0.0 else -math.inf
 
@@ -232,52 +234,43 @@ def solve_fueltax(T: float) -> tuple[SolveResult, SolveResult]:
     """Fuel-tax regret at horizon T: the fuel weight lambda* of the informed
     opponent at which a prior, of width sigma_ft, makes the taxed cost ratio
     equal to 1 for every drift.  Returns (lambda result, sigma result); the
-    lambda bracket is lambda(sigma) at the ends of the final sigma bracket.
+    lambda bracket is lambda(sigma) at the ends of the final sigma bracket,
+    and the lambda result's form is the taxed ratio at (sigma_ft, lambda*).
 
     Our side pays no tax, so F0 and F# at t = 0 depend on sigma only.  Ratio 1
     at a = 0, F#(sigma) = e#_lambda, gives lambda(sigma) in closed form; ratio
     1 as a -> inf, F0(sigma) = e0_lambda - e0, is one bracketed root in sigma,
     with the residual taken relative to F0.
     """
-    spec = ProblemSpec(horizon=T)
-
-    def lam_of(sigma: float) -> float:
-        return _taxed_opponent(T, perf_coeffs(0.0, GaussianPrior(sigma), spec)[1])[0]
-
-    sr = find_root(_fueltax_residual(T), _SIGMA_SCAN)
-    lam = lam_of(sr.root)
-    r = fueltax_ratio(0.0, GaussianPrior(sr.root), lam, spec) - 1.0
+    coeffs = _coeffs_at_zero(T)
+    sr = find_root(_fueltax_residual(T, coeffs), _SIGMA_SCAN)
+    lam, lam_lo, lam_hi = (
+        _taxed_opponent(T, coeffs(s)[1])[0] for s in (sr.root, sr.bracket_lo, sr.bracket_hi)
+    )
+    form = regret_form(GaussianPrior(sr.root), ProblemSpec(horizon=T), lam, coeffs=coeffs(sr.root))
+    r = form(0.0) - 1.0
     converged = sr.converged and abs(r) <= F_TOL
-    lam_lo, lam_hi = lam_of(sr.bracket_lo), lam_of(sr.bracket_hi)
-    return SolveResult(lam, r, sr.iterations, lam_lo, lam_hi, converged), sr
+    return SolveResult(lam, r, sr.iterations, lam_lo, lam_hi, converged, form), sr
 
 
-def certify_constant_mr(
-    T: float, sigma: float, a_values=A_GRID_DEFAULT
-) -> float:
-    """Spread of the competitive ratio over the drift grid plus its infinite-drift
-    limit; the independent check that a solved sigma* really gives constant regret."""
-    spec = ProblemSpec(horizon=T)
-    prior = GaussianPrior(sigma)
-    vals = [multiplicative_regret(a, prior, spec) for a in a_values]
-    vals.append(multiplicative_regret_limit(prior, spec))
+def certify_constant_mr(T: float, sigma: float, a_values=A_GRID_DEFAULT) -> float:
+    """Spread of the competitive ratio over the drift grid, each drift evaluated, plus its
+    infinite-drift limit; the independent check that a solved sigma* gives constant regret."""
+    form = regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T))
+    vals = [form(a) for a in a_values] + [form.limit]
     return max(vals) - min(vals)
 
 
 def _solve_point(quantity: str, T: float) -> dict:
-    if quantity == "mr_star":
-        sr, mr = _solve_mr_star(T)
-        return {"T": T, "sigma_star": sr.root, "mr_star_optimal": mr, "converged": sr.converged}
     if quantity == "fueltax":
         lam_r, sig_r = solve_fueltax(T)
-        return {
-            "T": T,
-            "lambda_star": lam_r.root,
-            "sigma_ft": sig_r.root,
-            "converged": lam_r.converged and sig_r.converged,
-        }
+        return {"T": T, "lambda_star": lam_r.root, "sigma_ft": sig_r.root,
+                "converged": lam_r.converged and sig_r.converged}
     sr = solve_sigma_mr(T)
-    return {"T": T, "sigma_star": sr.root, "converged": sr.converged}
+    rec = {"T": T, "sigma_star": sr.root, "converged": sr.converged}
+    if quantity == "mr_star":  # the form lets figure 2 reuse sigma* without a quadrature
+        rec.update(mr_star_optimal=sr.form(0.0), form=sr.form)
+    return rec
 
 
 def sweep(quantity: str, t_grid) -> SweepTable:

@@ -172,6 +172,39 @@ def test_regret_fueltax(capsys):
     assert max(data["cost_ratio"]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_regret_fueltax_unconverged_exits_4(capsys):
+    code, out, err = run_cli(capsys, "regret", "--mode", "fueltax", "--T", "1e-3")
+    assert (code, out, err) == (4, "", "error: fuel-tax solve did not converge at T=0.001\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["regret", "--mode", "multiplicative", "--T", "2"],
+    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "0.7"],
+    ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "improper"],
+    ["regret", "--mode", "fueltax", "--T", "2"],
+    ["figures", "--which", "1", "--grid", "0.5,1,2,4,8", "--out", "OUT"],
+    ["figures", "--which", "2", "--grid", "0.5,1,2,4,8", "--out", "OUT"],
+    ["figures", "--which", "3", "--grid", "0.5,1,2,4,8", "--out", "OUT"],
+])
+def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
+    # a solve reads the coefficients at its root and bracket ends back, a
+    # regret table evaluates one form, and figure 2 reuses its peak row's form
+    from agnostic_control import performance, solvers
+
+    keys = []
+    original = performance.perf_coeffs
+
+    def counted(t, prior, spec):
+        keys.append((float(t), prior.precision, spec.horizon))
+        return original(t, prior, spec)
+
+    monkeypatch.setattr(performance, "perf_coeffs", counted)
+    monkeypatch.setattr(solvers, "perf_coeffs", counted)
+    code, _, _ = run_cli(capsys, *[str(tmp_path) if a == "OUT" else a for a in argv])
+    assert code == 0
+    assert keys and len(keys) == len(set(keys))
+
+
 def test_regret_additive_requires_t0(capsys):
     code, _, _ = run_cli(
         capsys, "regret", "--mode", "additive", "--T", "2", "--sigma", "improper"

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from agnostic_control import (
@@ -25,6 +25,7 @@ from agnostic_control import (
     opponent_cost,
     perf_coeffs,
     perf_coeffs_rk4,
+    regret_form,
     value_known_a,
 )
 from agnostic_control import performance
@@ -247,6 +248,14 @@ def test_additive_regret_finite_sigma_formula():
     assert additive_regret(a, prior, spec) == pytest.approx(expected, rel=1e-12)
 
 
+def test_additive_form_limit():
+    # delta = 0: the additive regret grows like a^2 unless the prior is improper
+    spec = ProblemSpec(horizon=2.0, t_start=0.5)
+    assert regret_form(GaussianPrior(1.3), spec, additive=True).sup == math.inf
+    form = regret_form(IMPROPER, spec, additive=True)
+    assert form.limit == form.sup == additive_regret(3.0, IMPROPER, spec)
+
+
 def test_additive_regret_nonnegative_on_grid():
     spec = ProblemSpec(horizon=2.0, t_start=0.5)
     for prior in (GaussianPrior(1.0), IMPROPER):
@@ -322,6 +331,30 @@ def test_multiplicative_regret_at_least_one_property(a, log_sigma, T):
 def test_additive_regret_nonnegative_property(a, log_sigma, T, frac):
     prior = GaussianPrior(10.0 ** log_sigma)
     assert additive_regret(a, prior, ProblemSpec(horizon=T, t_start=frac * T)) >= 0.0
+
+
+@_PROPERTY
+@given(a=_DRIFT, log_sigma=st.one_of(_LOG_SIGMA, st.just(math.inf)), T=_HORIZON,
+       frac=st.one_of(st.just(0.0), st.floats(0.01, 0.99)), lam=st.floats(1.0, 10.0))
+def test_regret_form_matches_the_cost_ratio_property(a, log_sigma, T, frac, lam):
+    # the form's r(a) against the ratio of the two expected costs, each from its
+    # own function: bayes_cost from (0, 0) when t0 = 0, opponent_cost plus
+    # additive_regret when t0 > 0; the opponent's value function is quadratic in
+    # q(t0) ~ N(a t0, t0), so the two-point rule q = a t0 +- sqrt(t0) is exact
+    prior = GaussianPrior(10.0 ** log_sigma)
+    assume(frac > 0.0 or not prior.is_improper)
+    spec = ProblemSpec(horizon=T, t_start=frac * T)
+    t0, taxed = spec.t_start, spec.with_fuel_weight(lam)
+    opp = 0.5 * sum(value_known_a(a * t0 + s * math.sqrt(t0), t0, a, taxed) for s in (1.0, -1.0))
+    ours = (bayes_cost(0.0, 0.0, 0.0, a, prior, spec) if t0 == 0.0
+            else opponent_cost(a, spec) + additive_regret(a, prior, spec))
+    form = regret_form(prior, spec, lam)
+    assert form(a) == pytest.approx(ours / opp, rel=1e-12, abs=0.0)
+    # monotone in a^2: every drift lies between r(0) and the limit
+    lo, hi = sorted((form(0.0), form.limit))
+    for b in (0.01, 0.3, 1.0, 3.0, 30.0, 1e4):
+        assert lo * (1.0 - 1e-14) <= form(b) <= hi * (1.0 + 1e-14)
+    assert form.sup == hi
 
 
 def test_opponent_cost_reduces_to_value_at_zero_start():

@@ -85,8 +85,28 @@ def test_find_root_bisects_when_the_secant_is_not_finite():
     assert 1.0 <= r.bracket_lo <= r.root <= r.bracket_hi <= 4.0
 
 
+def test_find_root_stops_when_the_bracket_closes():
+    # a step has no point with |f| <= F_TOL: once the bracket has closed to
+    # adjacent floats around it, the search stops unconverged, not at _MAX_ITER
+    for c in (2.0, 0.9, 37.5, 1e-3):
+        r = find_root(lambda x: 1.0 if x > c else -1.0, (c / 3.0, 4.0 * c))
+        assert not r.converged and r.iterations <= 64, c
+        assert r.bracket_lo <= c < r.bracket_hi <= r.bracket_lo + 4.0 * math.ulp(c), c
+        assert r.root in (r.bracket_lo, r.bracket_hi), c
+
+
+def test_fueltax_solve_stops_when_its_residual_floor_is_reached():
+    # at T = 1e-3 the residual's rounding floor exceeds F_TOL, so the sigma
+    # bracket closes to adjacent floats, after 35 evaluations, well short of _MAX_ITER
+    lam_r, sig_r = solve_fueltax(1e-3)
+    assert not (lam_r.converged or sig_r.converged)
+    assert sig_r.iterations <= 45
+    assert lam_r.root == pytest.approx(1.2876026533, rel=1e-7)
+
+
 def test_solves_quadrature_budget(monkeypatch):
-    # one F0/F# quadrature per residual evaluation; bisecting, then Newton on a
+    # one F0/F# quadrature per residual evaluation, none at the root or the
+    # bracket ends, which the solve reads back; bisecting, then Newton on a
     # differenced slope made 19 and 22
     calls = []
 
@@ -96,10 +116,10 @@ def test_solves_quadrature_budget(monkeypatch):
 
     monkeypatch.setattr(solvers, "perf_coeffs", counted)
     solve_sigma_mr(2.0)
-    assert len(calls) <= 12
+    assert len(calls) <= 11
     calls.clear()
     solve_fueltax(2.0)
-    assert len(calls) <= 17
+    assert len(calls) <= 13
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
