@@ -8,7 +8,8 @@ with mean xi / (t + sigma^-2) and variance 1 / (t + sigma^-2).  The improper
 (sigma -> infinity) prior gives posterior mean xi / t, which requires t > 0.
 
 The Bayesian control is the known-drift law model.control_known_a with a
-replaced by the posterior mean; the simulator applies it that way.
+replaced by the posterior mean; the simulator divides xi by the posterior
+precision of each step, tabulated once per run.
 """
 
 from __future__ import annotations
@@ -46,19 +47,26 @@ class GaussianPrior:
         return 0.0 if self.is_improper else self.sigma ** -2
 
 
-def posterior(xi, t: float, prior: GaussianPrior) -> tuple:
-    """Posterior (mean, variance) of the drift given xi at time t.
-
-    xi may be an array of paths; the mean xi / (t + sigma^-2) is the drift
-    estimate the Bayesian strategies plug into the known-drift control law.
-    """
+def posterior_precision(t: float, prior: GaussianPrior) -> float:
+    """t + sigma^-2, the precision of the posterior on the drift at time t;
+    SingularityError unless it is positive."""
     w = t + prior.precision
     if not w > 0.0:
         raise SingularityError(
             "posterior undefined: t + sigma^-2 must be positive "
             f"(t={t}, improper={prior.is_improper})"
         )
+    return w
+
+
+def posterior(xi, t: float, prior: GaussianPrior) -> tuple:
+    """Posterior (mean, variance) of the drift given xi at time t.
+
+    xi may be an array of paths; the mean xi / (t + sigma^-2) is the drift
+    estimate the Bayesian strategies plug into the known-drift control law.
+    """
+    w = posterior_precision(t, prior)
     return xi / w, 1.0 / w
 
 
-__all__ = ["GaussianPrior", "posterior"]
+__all__ = ["GaussianPrior", "posterior", "posterior_precision"]

@@ -59,6 +59,13 @@ def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[floa
     """(F0(t), F#(t)) for the given prior, by composite Gauss-Legendre quadrature;
     QuadratureError when the rule at half the nodes disagrees by over 1e-10 relative,
     SingularityError when t + precision is 0 or (T - t)/(t + precision) overflows."""
+    f0, tail = _f0_and_tail(t, prior, spec)
+    return f0, log_cosh(spec.horizon - float(t)) + tail
+
+
+def _f0_and_tail(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
+    """(F0(t), F#(t) - log cosh(T - t)): perf_coeffs with the quadrature's tail
+    apart from e_sharp(t), so that F# - e_sharp carries no cancellation."""
     _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
@@ -103,7 +110,7 @@ def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[floa
             f"{_N_NODES}- and {_N_NODES // 2}-node rules disagree at t={t}, precision="
             f"{precision}, T={horizon}: I0 {i0} vs {i0_half}, tail {tail} vs {tail_half}"
         )
-    return float(c * i0), float(f_sharp)
+    return float(c * i0), float(tail)
 
 
 def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
@@ -205,18 +212,22 @@ def regret_form(
     expected cost to the opponent's at fuel weight lambda_opp >= 1 (checked by
     ProblemSpec), or with additive=True our cost minus the untaxed opponent's.
     q(t0) ~ N(a t0, t0) and E (a_bar - a)^2 = (t0 + a^2 p^2)/(t0 + p)^2 give the
-    coefficients.  coeffs is (F0, F#) at t0 when the caller holds it already."""
+    coefficients.  coeffs is (F0, F#) at t0 for a ratio form when the caller
+    holds it already; the additive form takes F# - e# from the quadrature's tail."""
     t0 = spec.t_start
-    if additive and t0 <= 0.0:
-        raise DomainError("additive regret requires t_start > 0 (it diverges at 0)")
-    f0, f_sharp = perf_coeffs(t0, prior, spec) if coeffs is None else coeffs
+    if additive:
+        if t0 <= 0.0:
+            raise DomainError("additive regret requires t_start > 0 (it diverges at 0)")
+        f0, tail = _f0_and_tail(t0, prior, spec)  # tail = F# - e# at t0
+    else:
+        f0, f_sharp = perf_coeffs(t0, prior, spec) if coeffs is None else coeffs
     g = own_gains(t0, spec)
     p = prior.precision
     d = t0 + p
     # F0 times the two weights of E (a_bar - a)^2, formed so that no intermediate overflows
     f0_w0, f0_w2 = f0 / d * (t0 / d), f0 * (p / d) ** 2
     if additive:
-        return RegretForm(f0_w0 + f_sharp - g.e_sharp, f0_w2, 1.0, 0.0)
+        return RegretForm(f0_w0 + tail, f0_w2, 1.0, 0.0)
     o = g if lambda_opp == 1.0 else gains(t0, spec.with_fuel_weight(lambda_opp))
     return RegretForm(
         g.e2 * t0 + f_sharp + f0_w0,

@@ -10,11 +10,22 @@ dt grid; the realized cost is the left-endpoint Riemann sum of q^2 + u^2
 over [t_start, T].  Tests may inject a deterministic noise array in place of
 the generator.
 
-monte_carlo_cost works through the paths in blocks of _CHUNK.  The calling
-thread draws the first block's noise; while it steps block c, one helper
-thread draws block c + 1 (numpy's normal sampler releases the GIL).  So at
-most two blocks are in memory, and the noise and the step order are those
-of a serial run.
+A run evaluates the law's coefficients once per controlled step, not once
+per block: Strategy.gain_table holds a row for each step k >= k_start
+(-e2, e1/2 and w = t + sigma^-2 for the Bayesian strategies; -e2 and
+(e1/2) a for known_a), and _control applies a row to a block of paths in
+place.  _run_block steps a block on six preallocated vectors with the float
+operations u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt,
+dq = (a + u) dt + sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so
+every cost is bit-identical to calling model.control_known_a at each step.
+
+monte_carlo_cost works through the paths in blocks of _CHUNK.  One helper
+thread draws half of the first block's noise while the calling thread builds
+the gain table and draws the other half; then, while the calling thread
+steps block c, the helper draws block c + 1 (numpy's normal sampler releases
+the GIL).  Each block is scaled by sqrt(dt) in place as soon as it is drawn.
+So at most two blocks are in memory, and the noise and the step order are
+those of a serial run.
 """
 
 from __future__ import annotations
@@ -25,9 +36,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bayes import GaussianPrior, posterior
+from .bayes import GaussianPrior, posterior_precision
 from .errors import BudgetError, DomainError, NonFiniteError
-from .model import ProblemSpec, control_known_a, value_known_a
+from .model import ProblemSpec, control_gains, value_known_a
 from .performance import additive_regret, bayes_cost, opponent_cost
 
 MAX_TOTAL_STEPS = 10 ** 9
@@ -96,7 +107,8 @@ class Strategy:
     Every strategy applies the one known-drift law model.control_known_a and
     differs only in the drift estimate it plugs in: known_a the true drift a,
     bayes and bayes_improper the posterior mean of a under their prior.
-    zero_control applies no control.
+    zero_control applies no control.  control and the simulator both apply
+    the law from a gain row through _control.
     """
 
     name: str
@@ -104,11 +116,34 @@ class Strategy:
     prior: GaussianPrior | None = None
 
     def control(self, q, xi, t: float, spec: ProblemSpec):
-        """Control at time t for positions q and statistics xi (arrays of paths)."""
+        """Control at time t for positions q and statistics xi (arrays of paths):
+        the gain-table row at t, applied by _control as the step loop does."""
+        q = np.asarray(q, dtype=float)
+        u = np.zeros_like(q)
+        if self.name != "zero_control":
+            _control(self._gain_row(t, spec), q, np.asarray(xi, dtype=float), u, np.empty_like(q))
+        return u
+
+    def _gain_row(self, t: float, spec: ProblemSpec) -> tuple:
+        """The law's coefficients at time t: (-e2, e1/2, t + sigma^-2) for the
+        Bayesian strategies, (-e2, e1/2 * a, None) for known_a."""
+        if self.prior is None:
+            neg_e2, half_e1 = control_gains(t, spec)
+            return neg_e2, half_e1 * self.a, None
+        w = posterior_precision(t, self.prior)
+        return (*control_gains(t, spec), w)
+
+    def gain_table(self, config: SimConfig) -> list[tuple] | None:
+        """The gain row of each controlled step k = k_start, ..., n_steps - 1,
+        at t = k dt; None for zero_control, which applies no control."""
         if self.name == "zero_control":
-            return np.zeros_like(q)
-        m = self.a if self.prior is None else posterior(xi, t, self.prior)[0]
-        return control_known_a(q, t, m, spec)
+            return None
+        # k_start * dt may fall an ulp short of t_start (11 * 0.03 < 0.33), so
+        # the rows come from the spec without its observation phase; the gains
+        # do not depend on t_start.
+        law_spec = replace(config.spec, t_start=0.0)
+        dt = config.dt
+        return [self._gain_row(k * dt, law_spec) for k in range(config.k_start, config.n_steps)]
 
     def describe(self) -> dict:
         d = {"variant": self.name}
@@ -151,6 +186,9 @@ def _fill_noise(out: np.ndarray, seed: int, first: int) -> None:
     bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0 and an empty buffer
+    # as lists, which the state setter reads in a third of the time arrays take
+    state["state"] = {name: words.tolist() for name, words in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
     for r, row in enumerate(out):
         key[1] = first + r
@@ -165,43 +203,58 @@ def path_noise(seed: int, path_index: int, n_steps: int) -> np.ndarray:
     return out[0]
 
 
+def _control(row: tuple, q: np.ndarray, xi: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> None:
+    """Write u = -e2 q - (e1/2) m into u from one gain-table row (-e2, e1/2, w):
+    the law of model.control_known_a, with m = xi / w, the posterior mean, or
+    with a known drift already folded into the row when w is None.  scratch
+    is overwritten."""
+    neg_e2, half_e1, w = row
+    np.multiply(q, neg_e2, out=u)
+    if w is None:
+        np.subtract(u, half_e1, out=u)
+    else:
+        np.divide(xi, w, out=scratch)
+        scratch *= half_e1
+        u -= scratch
+
+
 def _run_block(
-    strategy: Strategy,
+    table: list[tuple] | None,
     config: SimConfig,
     noise: np.ndarray,
     record: bool = False,
 ):
-    """Advance a block of paths; returns (costs, trajectory or None).
+    """Advance a block of paths; returns (costs, trajectory or None, q, xi).
 
-    noise has shape (n_paths_in_block, n_steps).  The trajectory, recorded
-    only for single-path runs, has rows (t, q, xi, u) at each step start.
+    table is the strategy's gain_table(config).  noise has shape
+    (n_paths_in_block, n_steps) and holds the increments sqrt(dt) * N(0, 1).
+    The trajectory, recorded only for single-path runs, has rows (t, q, xi, u)
+    at each step start.  The paths step in place on six vectors; u stays 0
+    until the first controlled step k_start, and for zero_control throughout.
     """
-    dt = config.dt
-    sqrt_dt = math.sqrt(dt)
-    m = noise.shape[0]
-    # Control switches on at the grid index of t_start.  k0 * dt may fall an
-    # ulp short of t_start (11 * 0.03 < 0.33), so the law gets the spec
-    # without its observation phase; the gains do not depend on t_start.
+    dt, a = config.dt, config.a_true
     k0 = config.k_start
-    law_spec = replace(config.spec, t_start=0.0)
-
-    q = np.zeros(m)
-    xi = np.zeros(m)
-    cost = np.zeros(m)
+    q, xi, cost, u, dq, tmp = np.zeros((6, noise.shape[0]))
     rows = [] if record else None
 
     for k in range(config.n_steps):
-        t = k * dt
         if k >= k0:
-            u = strategy.control(q, xi, t, law_spec)
-            cost += (q * q + u * u) * dt
-        else:
-            u = np.zeros(m)
+            if table is not None:
+                _control(table[k - k0], q, xi, u, tmp)
+            np.multiply(q, q, out=tmp)
+            np.multiply(u, u, out=dq)
+            tmp += dq
+            tmp *= dt
+            cost += tmp
         if record:
-            rows.append((t, float(q[0]), float(xi[0]), float(u[0])))
-        dq = (config.a_true + u) * dt + sqrt_dt * noise[:, k]
-        q = q + dq
-        xi = xi + dq - u * dt
+            rows.append((k * dt, float(q[0]), float(xi[0]), float(u[0])))
+        np.add(u, a, out=dq)
+        dq *= dt
+        dq += noise[:, k]
+        q += dq
+        xi += dq
+        np.multiply(u, dt, out=tmp)
+        xi -= tmp
 
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(cost))):
         raise NonFiniteError("simulation produced non-finite state")
@@ -229,7 +282,8 @@ def simulate_path(
         raise DomainError(
             f"noise must have shape ({config.n_steps},), got {noise.shape}"
         )
-    cost, traj, _, _ = _run_block(strategy, config, noise[None, :], record=True)
+    scaled = math.sqrt(config.dt) * noise[None, :]
+    cost, traj, _, _ = _run_block(strategy.gain_table(config), config, scaled, record=True)
     return traj, float(cost[0])
 
 
@@ -251,25 +305,32 @@ def monte_carlo_cost(
     strategy.check_config(config)
     _check_budget(config)
     n_paths = config.n_paths
+    sqrt_dt = math.sqrt(config.dt)
     costs = np.empty(n_paths)
     # Two block buffers, reused: the helper fills one while this thread steps the other.
     shape = (min(_CHUNK, n_paths), config.n_steps)
     buffers = (np.empty(shape), np.empty(shape) if n_paths > _CHUNK else None)
 
-    def draw(start: int) -> np.ndarray:
-        noise = buffers[start // _CHUNK % 2][:n_paths - start]
-        _fill_noise(noise, config.seed, start)
-        return noise
+    def block(start: int) -> np.ndarray:
+        return buffers[start // _CHUNK % 2][:n_paths - start]
 
-    # The helper thread starts with the second block; leaving the with-block,
-    # on success or error, waits for it.
+    def draw(rows: np.ndarray, first: int) -> np.ndarray:
+        _fill_noise(rows, config.seed, first)
+        rows *= sqrt_dt  # in place: a scaled copy would be a third block
+        return rows
+
+    # Leaving the with-block, on success or error, waits for the helper.
     with ThreadPoolExecutor(max_workers=1) as helper:
-        noise = draw(0)
+        noise = block(0)
+        half = len(noise) // 2
+        pending = helper.submit(draw, noise[half:], half)
+        table = strategy.gain_table(config)
+        draw(noise[:half], 0)
+        pending.result()
         for start in range(0, n_paths, _CHUNK):
             following = start + _CHUNK
-            pending = helper.submit(draw, following) if following < n_paths else None
-            block_costs, _, _, _ = _run_block(strategy, config, noise)
-            costs[start:following] = block_costs
+            pending = helper.submit(draw, block(following), following) if following < n_paths else None
+            costs[start:following] = _run_block(table, config, noise)[0]
             if pending is not None:
                 noise = pending.result()
     mean = float(np.mean(costs))

@@ -122,7 +122,7 @@ def test_xi_diffuses_like_drifted_brownian_motion():
     for start in range(0, cfg.n_paths, 2000):
         stop = min(start + 2000, cfg.n_paths)
         noise = np.stack([path_noise(cfg.seed, i, n_steps) for i in range(start, stop)])
-        _, _, _, xi = _run_block(strategy, cfg, noise)
+        _, _, _, xi = _run_block(strategy.gain_table(cfg), cfg, math.sqrt(cfg.dt) * noise)
         xis[start:stop] = xi
     se = xis.std(ddof=1) / math.sqrt(cfg.n_paths)
     assert abs(xis.mean() - a * spec.horizon) <= 4 * se

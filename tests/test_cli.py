@@ -188,18 +188,19 @@ def test_regret_fueltax_unconverged_exits_4(capsys):
 ])
 def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
     # a solve reads the coefficients at its root and bracket ends back, a
-    # regret table evaluates one form, and figure 2 reuses its peak row's form
-    from agnostic_control import performance, solvers
+    # regret table evaluates one form, and figure 2 reuses its peak row's form;
+    # every quadrature, perf_coeffs' and the additive regret's, passes through
+    # performance._f0_and_tail
+    from agnostic_control import performance
 
     keys = []
-    original = performance.perf_coeffs
+    original = performance._f0_and_tail
 
     def counted(t, prior, spec):
         keys.append((float(t), prior.precision, spec.horizon))
         return original(t, prior, spec)
 
-    monkeypatch.setattr(performance, "perf_coeffs", counted)
-    monkeypatch.setattr(solvers, "perf_coeffs", counted)
+    monkeypatch.setattr(performance, "_f0_and_tail", counted)
     code, _, _ = run_cli(capsys, *[str(tmp_path) if a == "OUT" else a for a in argv])
     assert code == 0
     assert keys and len(keys) == len(set(keys))

@@ -248,6 +248,20 @@ def test_additive_regret_finite_sigma_formula():
     assert additive_regret(a, prior, spec) == pytest.approx(expected, rel=1e-12)
 
 
+def test_additive_regret_without_cancellation():
+    # the regret is 1.2e-11 of F# here: formed as F# - e#, it was 1e-5 off
+    mpmath = pytest.importorskip("mpmath")
+    T, t0, sigma, a = 0.0133, 0.0131, 0.882, 2.69
+    with mpmath.workdps(40):
+        t, p = mpmath.mpf(t0), 1 / mpmath.mpf(sigma) ** 2
+        f = lambda tau: (1 - mpmath.sech(T - tau)) ** 2 / (tau + p) ** 2
+        f0 = (t + p) ** 2 * mpmath.quad(f, [t, T])
+        f_sharp_minus_e_sharp = mpmath.quad(lambda tau: (tau - t) * f(tau), [t, T])
+        ref = f0 * (t + a * a * p * p) / (t + p) ** 2 + f_sharp_minus_e_sharp
+    got = additive_regret(a, GaussianPrior(sigma), ProblemSpec(horizon=T, t_start=t0))
+    assert abs(got - ref) <= 1e-12 * ref
+
+
 def test_additive_form_limit():
     # delta = 0: the additive regret grows like a^2 unless the prior is improper
     spec = ProblemSpec(horizon=2.0, t_start=0.5)

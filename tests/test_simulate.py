@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,14 +15,16 @@ from agnostic_control import (
     ProblemSpec,
     SimConfig,
     bayes_cost,
+    control_known_a,
     make_strategy,
     monte_carlo_cost,
     opponent_cost,
+    posterior,
     regret_empirical,
     simulate_path,
     value_known_a,
 )
-from agnostic_control import simulate
+from agnostic_control import model, simulate
 from agnostic_control.simulate import analytic_cost, dump_trajectory, path_noise
 
 
@@ -81,7 +84,8 @@ def test_zero_control_drift_statistics():
     for start in range(0, cfg.n_paths, 2000):
         stop = min(start + 2000, cfg.n_paths)
         noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(start, stop)])
-        _, _, q, _ = _run_block(make_strategy("zero_control"), cfg, noise)
+        _, _, q, _ = _run_block(make_strategy("zero_control").gain_table(cfg), cfg,
+                                math.sqrt(cfg.dt) * noise)
         qs[start:stop] = q
     se = qs.std(ddof=1) / math.sqrt(cfg.n_paths)
     assert abs(qs.mean() - a * T) <= 4 * se
@@ -182,7 +186,8 @@ def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
     # the costs must be those of a serial path-by-path run, whatever the block size
     cfg = small_config(a_true=0.5, n_paths=50, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
-    serial = np.concatenate([simulate._run_block(strategy, cfg, noise[i:i + 1])[0]
+    table, scaled = strategy.gain_table(cfg), math.sqrt(cfg.dt) * noise
+    serial = np.concatenate([simulate._run_block(table, cfg, scaled[i:i + 1])[0]
                              for i in range(cfg.n_paths)])
     for chunk in (7, cfg.n_paths, 4096):
         monkeypatch.setattr(simulate, "_CHUNK", chunk)
@@ -249,3 +254,106 @@ def test_dump_trajectory(tmp_path):
     assert len(lines) == cfg.n_steps + 1
     first = [float(x) for x in lines[1].split(",")]
     assert first == pytest.approx(list(traj[0]))
+
+
+def _per_step_reference(strategy, cfg, noise):
+    """The Euler scheme as a plain loop that calls the law at every step:
+    returns (costs, trajectory of path 0 with rows t, q, xi, u, q(T), xi(T))."""
+    dt, sqrt_dt, m = cfg.dt, math.sqrt(cfg.dt), noise.shape[0]
+    law_spec = replace(cfg.spec, t_start=0.0)
+    q, xi, cost, rows = np.zeros(m), np.zeros(m), np.zeros(m), []
+    for k in range(cfg.n_steps):
+        t = k * dt
+        u = np.zeros(m)
+        if k >= cfg.k_start:
+            if strategy.name != "zero_control":
+                a_hat = strategy.a if strategy.prior is None else posterior(xi, t, strategy.prior)[0]
+                u = control_known_a(q, t, a_hat, law_spec)
+            cost += (q * q + u * u) * dt
+        rows.append((t, q[0], xi[0], u[0]))
+        dq = (cfg.a_true + u) * dt + sqrt_dt * noise[:, k]
+        q = q + dq
+        xi = xi + dq - u * dt
+    return cost, np.array(rows), q, xi
+
+
+#: Every strategy at t_start 0 and 0.5 (the improper prior needs t_start > 0),
+#: and the grid where k_start * dt = 11 * 0.03 falls an ulp short of 0.33.
+_STRATEGY_CASES = [
+    (variant, T, t_start, dt)
+    for variant in ("bayes", "known_a", "zero_control", "bayes_improper")
+    for T, t_start, dt in ((1.0, 0.0, 0.01), (1.0, 0.5, 0.01), (0.99, 0.33, 0.03))
+    if not (variant == "bayes_improper" and t_start == 0.0)
+]
+
+
+@pytest.mark.parametrize("variant, T, t_start, dt", _STRATEGY_CASES)
+def test_gain_table_steps_bit_identical_to_per_step_law(monkeypatch, variant, T, t_start, dt):
+    strategy = make_strategy(variant, a=0.7, sigma=1.5)
+    cfg = SimConfig(spec=ProblemSpec(horizon=T, t_start=t_start), a_true=0.7, dt=dt,
+                    n_paths=30, seed=3)
+    noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
+    costs, traj, q, xi = _per_step_reference(strategy, cfg, noise)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    assert monte_carlo_cost(strategy, cfg, keep_costs=True).costs.tobytes() == costs.tobytes()
+    got = simulate._run_block(strategy.gain_table(cfg), cfg, math.sqrt(dt) * noise)
+    assert got[2].tobytes() == q.tobytes()
+    assert got[3].tobytes() == xi.tobytes()
+    got_traj, cost = simulate_path(strategy, cfg)
+    assert got_traj.tobytes() == traj.tobytes()
+    assert cost == costs[0]
+
+
+def test_gains_evaluated_once_per_controlled_step(monkeypatch):
+    # one gain table per run, not one per block of paths
+    calls = []
+    original = model.gains
+
+    def counted(t, spec):
+        calls.append(t)
+        return original(t, spec)
+
+    monkeypatch.setattr(model, "gains", counted)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=0.3), a_true=0.5, n_paths=50)
+    monte_carlo_cost(make_strategy("bayes", sigma=1.5), cfg)
+    assert len(calls) == cfg.n_steps - cfg.k_start
+
+
+def _euler_moments(table, cfg):
+    """Exact expected cost of the Euler scheme stepped by _run_block.
+
+    With u = g_q q + g_xi xi + g_0 the scheme is linear in x = (q, xi):
+    x' = A x + b + sqrt(dt) n (1, 1), so the mean and the 2x2 covariance
+    recurse exactly, and E[q^2 + u^2] follows from them at each step."""
+    dt, a = cfg.dt, cfg.a_true
+    mean, cov = np.zeros(2), np.zeros((2, 2))
+    cost = 0.0
+    for k in range(cfg.n_steps):
+        g = np.zeros(2)
+        g_0 = 0.0
+        if k >= cfg.k_start:
+            if table is not None:
+                neg_e2, half_e1, w = table[k - cfg.k_start]
+                g = np.array([neg_e2, 0.0 if w is None else -half_e1 / w])
+                g_0 = -half_e1 if w is None else 0.0
+            e_q2 = mean[0] ** 2 + cov[0, 0]
+            e_u2 = (g @ mean + g_0) ** 2 + g @ cov @ g
+            cost += (e_q2 + e_u2) * dt
+        A = np.eye(2) + dt * np.array([g, [0.0, 0.0]])
+        b = np.array([(a + g_0) * dt, a * dt])
+        mean = A @ mean + b
+        cov = A @ cov @ A.T + dt * np.ones((2, 2))
+    return cost
+
+
+@pytest.mark.parametrize("variant, t_start", [(v, t0) for v, _, t0, dt in _STRATEGY_CASES if dt == 0.01])
+def test_monte_carlo_matches_exact_euler_moments(variant, t_start):
+    # no discretization bias in the reference: at dt = 0.1 the scheme's cost is
+    # 0.03-0.1 below the continuous-time one, over 4 standard errors here
+    strategy = make_strategy(variant, a=1.0, sigma=1.5)
+    cfg = SimConfig(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=1.0, dt=0.1,
+                    n_paths=12_000, seed=8)
+    est = monte_carlo_cost(strategy, cfg)
+    exact = _euler_moments(strategy.gain_table(cfg), cfg)
+    assert abs(est.mean - exact) <= 4 * est.stderr
