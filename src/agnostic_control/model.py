@@ -13,8 +13,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .errors import DomainError
 
 _LOG2 = math.log(2.0)
@@ -89,14 +87,13 @@ def _s_minus_tanh_small(s: float) -> float:
     return numerator / math.cosh(s)
 
 
-def e1_unit(s):
+def e1_unit(s: float) -> float:
     """E1 at fuel weight 1 and remaining time s: 2 (1 - sech s) = 2 tanh s tanh(s/2).
 
     The product form keeps full relative precision as s -> 0, where
-    1 - sech s cancels.  s may be a float or a numpy array.
+    1 - sech s cancels.
     """
-    tanh = math.tanh if isinstance(s, float) else np.tanh
-    return 2.0 * tanh(s) * tanh(0.5 * s)
+    return 2.0 * math.tanh(s) * math.tanh(0.5 * s)
 
 
 def e0_unit(s: float) -> float:

@@ -32,7 +32,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bayes import GaussianPrior, posterior
 from .errors import DomainError, QuadratureError, SingularityError
-from .model import ProblemSpec, _check_time, e1_unit, gains, log_cosh, own_gains
+from .model import ProblemSpec, _check_time, gains, log_cosh, own_gains
 
 #: Default symmetric drift grid: covers both the small-a (F#-dominated) and
 #: large-a (F0-dominated) regimes; all regret formulas depend on a^2 only.
@@ -43,6 +43,7 @@ A_GRID_DEFAULT = (0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 
 #: both sums, and their difference is the error estimate.
 _N_NODES = 48
 _NODES, _WEIGHTS = (np.concatenate(v) for v in zip(leggauss(_N_NODES), leggauss(_N_NODES // 2)))
+_ONE_PLUS_NODES = 1.0 + _NODES  # node w = panel start + half-width * (1 + node)
 _PANEL_EDGES = np.linspace(0.0, 1.0, 9)  # 8 equal panels per segment
 #: Remaining time s = T - tau beyond which e1 is flat (1 - sech 20 = 1 - 4e-9).
 _S_EDGE = 20.0
@@ -91,18 +92,38 @@ def _f0_and_tail(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[flo
         panels = np.concatenate([panels[0] * _PANEL_EDGES[:-1], panels])
     # A tiny c stretches the first panels over w ~ log(s_near / c); split any
     # panel wider than _W_MAX into equal parts.
-    widths = np.diff(panels)
+    widths = panels[1:] - panels[:-1]
     if widths.max() > _W_MAX:
         parts = np.ceil(widths / _W_MAX).astype(int)
         panels = np.concatenate(
             [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(panels[:-1], panels[1:], parts)]
             + [panels[-1:]]
         )
-    half = 0.5 * np.diff(panels)
-    x = np.expm1(panels[:-1, None] + half[:, None] * (1.0 + _NODES))
-    g = 0.25 * e1_unit(span - c * x) ** 2 / (1.0 + x)
-    terms = half @ np.stack([g, g * x]) * _WEIGHTS
-    (i0, tail), (i0_half, tail_half) = terms[:, :_N_NODES].sum(1), terms[:, _N_NODES:].sum(1)
+        widths = panels[1:] - panels[:-1]
+    # One row of nodes per panel, each array formed in place: x, s = T - tau,
+    # g = e1^2/4 / (1 + x) in the tanh(s) array, and g x in the x array.
+    half = 0.5 * widths
+    x = np.multiply(half[:, None], _ONE_PLUS_NODES)
+    x += panels[:-1, None]
+    np.expm1(x, out=x)
+    s = np.multiply(x, c)
+    np.subtract(span, s, out=s)
+    g = np.tanh(s)
+    s *= 0.5
+    np.tanh(s, out=s)
+    # (tanh s tanh(s/2))^2 is e1_unit(s)^2 / 4 to the bit: scaling by 2 and by
+    # 0.25 is exact while the square is a normal float
+    g *= s
+    g *= g
+    np.add(x, 1.0, out=s)
+    g /= s
+    x *= g
+    i0_terms = half @ g
+    i0_terms *= _WEIGHTS
+    tail_terms = half @ x
+    tail_terms *= _WEIGHTS
+    i0, i0_half = np.add.reduce(i0_terms[:_N_NODES]), np.add.reduce(i0_terms[_N_NODES:])
+    tail, tail_half = np.add.reduce(tail_terms[:_N_NODES]), np.add.reduce(tail_terms[_N_NODES:])
     f_sharp = log_cosh(span) + tail
     # written as `not x <= tol` so that NaN fails the check
     if not (abs(i0 - i0_half) <= _EST_RTOL * i0 and abs(tail - tail_half) <= _EST_RTOL * f_sharp):

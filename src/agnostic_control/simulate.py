@@ -154,8 +154,13 @@ class Strategy:
         return d
 
     def check_config(self, config: SimConfig) -> None:
-        if self.name == "bayes_improper" and config.spec.t_start <= 0.0:
-            raise DomainError("improper-prior strategy requires t_start > 0")
+        # control starts at the grid point k_start dt nearest t_start, where
+        # the improper posterior needs t > 0
+        if self.name == "bayes_improper" and config.k_start == 0:
+            raise DomainError(
+                f"improper-prior strategy requires t_start (T0) >= dt: T0={config.spec.t_start} "
+                f"rounds to step 0 of the dt={config.dt} grid"
+            )
 
 
 def make_strategy(

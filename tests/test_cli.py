@@ -120,6 +120,18 @@ def test_simulate_improper_without_t0_is_usage_error(capsys):
     assert "t_start" in err
 
 
+def test_simulate_improper_t0_off_the_first_step_names_t0_and_dt(capsys):
+    # T0 = 1e-10 is within the grid tolerance of step 0, where the improper
+    # posterior is undefined
+    code, _, err = run_cli(
+        capsys, "simulate", "--strategy", "bayes_improper", "--a", "1", "--T", "1",
+        "--T0", "1e-10", "--dt", "0.01", "--paths", "10",
+    )
+    assert code == 2
+    assert "T0=1e-10" in err and "dt=0.01" in err
+    assert "posterior undefined" not in err
+
+
 def test_simulate_budget_exceeded_exit_3(capsys):
     code, _, _ = run_cli(
         capsys,

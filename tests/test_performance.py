@@ -29,6 +29,7 @@ from agnostic_control import (
     value_known_a,
 )
 from agnostic_control import performance
+from agnostic_control.model import _check_time, log_cosh
 
 IMPROPER = GaussianPrior.improper()
 
@@ -377,9 +378,83 @@ def test_opponent_cost_reduces_to_value_at_zero_start():
         assert opponent_cost(a, spec) == pytest.approx(value_known_a(0.0, 0.0, a, spec))
 
 
-def test_memoization_is_value_identical():
-    spec = ProblemSpec(horizon=1.7)
-    prior = GaussianPrior(0.9)
-    first = perf_coeffs(0.3, prior, spec)
-    again = perf_coeffs(0.3, prior, spec)
-    assert first == again
+def _f0_and_tail_reference(t, prior, spec):
+    """performance._f0_and_tail as it stood before its node pass was formed in
+    place: the same panels, nodes and rules, with e1^2/4 as 0.25 e1_unit(s)^2
+    and both sums through np.stack."""
+    _check_time(t, spec)
+    if prior.is_improper and t <= 0.0:
+        raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
+    t, precision, horizon = float(t), prior.precision, spec.horizon
+    span = horizon - t
+    if span == 0.0:
+        return 0.0, 0.0
+    c = t + precision
+    if c == 0.0 or span / c == math.inf:
+        raise SingularityError("F# diverges")
+    s_near = min(span, performance._S_EDGE)
+    panels = np.log1p((span - s_near + s_near * performance._PANEL_EDGES) / c)
+    if span > performance._S_EDGE:
+        panels = np.concatenate([panels[0] * performance._PANEL_EDGES[:-1], panels])
+    widths = np.diff(panels)
+    if widths.max() > performance._W_MAX:
+        parts = np.ceil(widths / performance._W_MAX).astype(int)
+        panels = np.concatenate(
+            [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(panels[:-1], panels[1:], parts)]
+            + [panels[-1:]]
+        )
+    half = 0.5 * np.diff(panels)
+    x = np.expm1(panels[:-1, None] + half[:, None] * (1.0 + performance._NODES))
+    s = span - c * x
+    g = 0.25 * (2.0 * np.tanh(s) * np.tanh(0.5 * s)) ** 2 / (1.0 + x)
+    terms = half @ np.stack([g, g * x]) * performance._WEIGHTS
+    n = performance._N_NODES
+    (i0, tail), (i0_half, tail_half) = terms[:, :n].sum(1), terms[:, n:].sum(1)
+    f_sharp = log_cosh(span) + tail
+    rtol = performance._EST_RTOL
+    if not (abs(i0 - i0_half) <= rtol * i0 and abs(tail - tail_half) <= rtol * f_sharp):
+        raise QuadratureError("rules disagree")
+    return float(c * i0), float(tail)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the type is the outcome
+        return type(exc)
+
+
+def _kernel_points():
+    """(t, sigma, T) over T in [1e-6, 1e4]: fixed corners, then draws with t
+    anywhere in [0, T] (near T too) and sigma from 1e-3 to 1e160 or improper."""
+    points = [
+        (0.0, 1.3, 50.0),  # span > 20: 16 panels
+        (0.0, 100.0, 1e4),
+        (1e-300, math.inf, 50.0),  # t + p tiny: split panels
+        (1e-30, math.inf, 2.0),
+        (0.0, 1e150, 2.0),
+        (0.0, math.inf, 2.0),  # improper at t = 0: SingularityError
+        (0.5, math.inf, 2.0),
+        (0.0, 0.01, 1e-6),
+        (2.0, 1.0, 2.0),  # span 0
+        (1.7 - 1e-12, 0.9, 1.7),
+        (0.3, 0.9, 1.7),
+    ]
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        T = float(10.0 ** rng.uniform(-6.0, 4.0))
+        u = rng.choice([0.0, rng.uniform(), 1.0 - 10.0 ** rng.uniform(-15.0, 0.0)])
+        sigma = math.inf if rng.uniform() < 0.3 else float(10.0 ** rng.uniform(-3.0, 160.0))
+        points.append((min(float(T * u), T), sigma, T))
+    return points
+
+
+def test_kernel_is_bit_identical_to_reference():
+    # every output, exceptions included, equals the reference's to the bit,
+    # and a second call returns the same floats
+    for t, sigma, T in _kernel_points():
+        prior = IMPROPER if sigma == math.inf else GaussianPrior(sigma)
+        args = (t, prior, ProblemSpec(horizon=T))
+        got = _outcome(performance._f0_and_tail, *args)
+        assert got == _outcome(_f0_and_tail_reference, *args), (t, sigma, T)
+        assert got == _outcome(performance._f0_and_tail, *args)
