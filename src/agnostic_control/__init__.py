@@ -36,12 +36,10 @@ from .performance import (
 )
 from .simulate import (
     CostEstimate,
-    RegretReport,
     SimConfig,
     Strategy,
     make_strategy,
     monte_carlo_cost,
-    regret_empirical,
     simulate_path,
 )
 from .solvers import (

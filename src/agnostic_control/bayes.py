@@ -29,6 +29,9 @@ class GaussianPrior:
     def __post_init__(self):
         if not self.sigma > 0.0:
             raise DomainError(f"sigma must be positive (or inf), got {self.sigma}")
+        # a Python float, so that sigma^-4 below and every later division raise
+        # or return inf as floats do, not with numpy's scalar warnings
+        object.__setattr__(self, "sigma", float(self.sigma))
         try:
             self.sigma ** -4  # the squared precision, which the additive regret forms
         except OverflowError:

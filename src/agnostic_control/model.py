@@ -143,22 +143,16 @@ def value_known_a(q: float, t: float, a: float, spec: ProblemSpec) -> float:
     return g.e2 * q * q + g.e1 * q * a + g.e0 * a * a + g.e_sharp
 
 
-def control_gains(t: float, spec: ProblemSpec) -> tuple[float, float]:
-    """(-e2, e1/2) at time t and fuel weight 1: the coefficients of the law
-    u = -e2 q - (e1/2) a; DomainError outside the control window [t_start, T]."""
-    if not spec.t_start <= t <= spec.horizon:
-        raise DomainError(f"t={t} outside [{spec.t_start}, {spec.horizon}]")
-    g = own_gains(t, spec)
-    return -g.e2, 0.5 * g.e1
-
-
 def control_known_a(q: float, t: float, a: float, spec: ProblemSpec) -> float:
-    """Optimal control u = -e2 q - (e1/2) a, at fuel weight 1.
+    """Optimal control u = -e2 q - (e1/2) a, at fuel weight 1; DomainError
+    outside the control window [t_start, T].
 
     Every strategy applies this law with its own drift estimate in place of a
     (the posterior mean for the Bayesian strategies); the simulator applies it
-    from a table of control_gains, one row per step.  q and a may be arrays
-    of paths.
+    from Strategy.gain_table, one row of coefficients per step.  q and a may
+    be arrays of paths.
     """
-    neg_e2, half_e1 = control_gains(t, spec)
-    return neg_e2 * q - half_e1 * a
+    if not spec.t_start <= t <= spec.horizon:
+        raise DomainError(f"t={t} outside [{spec.t_start}, {spec.horizon}]")
+    g = own_gains(t, spec)
+    return -g.e2 * q - 0.5 * g.e1 * a

@@ -301,12 +301,3 @@ def opponent_cost(a: float, spec: ProblemSpec) -> float:
         + g.e_sharp
     )
 
-
-def mr_general(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """Competitive ratio allowing an observation phase t_start > 0."""
-    return regret_form(prior, spec)(a)
-
-
-def mr_general_limit(prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """The a -> infinity limit of mr_general."""
-    return regret_form(prior, spec).limit

@@ -10,14 +10,14 @@ dt grid; the realized cost is the left-endpoint Riemann sum of q^2 + u^2
 over [t_start, T].  Tests may inject a deterministic noise array in place of
 the generator.
 
-A run evaluates the law's coefficients once per controlled step, not once
-per block: Strategy.gain_table holds a row for each step k >= k_start
-(-e2, e1/2 and w = t + sigma^-2 for the Bayesian strategies; -e2 and
-(e1/2) a for known_a), and _control applies a row to a block of paths in
-place.  _run_block steps a block on six preallocated vectors with the float
-operations u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt,
-dq = (a + u) dt + sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so
-every cost is bit-identical to calling model.control_known_a at each step.
+The law has one form here, Strategy.gain_table: a row of coefficients for
+each controlled step k >= k_start, built once per run (-e2, e1/2 and
+w = t + sigma^-2 for the Bayesian strategies; -e2 and (e1/2) a for
+known_a), which _control applies to a block of paths in place.  _run_block
+steps a block on six preallocated vectors with the float operations
+u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt, dq = (a + u) dt +
+sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
+bit-identical to calling model.control_known_a at each step.
 
 monte_carlo_cost works through the paths in blocks of _CHUNK.  One helper
 thread draws half of the first block's noise while the calling thread builds
@@ -32,29 +32,17 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes import GaussianPrior, posterior_precision
 from .errors import BudgetError, DomainError, NonFiniteError
-from .model import ProblemSpec, control_gains, value_known_a
+from .model import ProblemSpec, own_gains
 from .performance import additive_regret, bayes_cost, opponent_cost
 
 MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    """Per-drift additive and multiplicative regret of one strategy, with their
-    standard errors."""
-
-    a_values: tuple[float, ...]
-    additive: tuple[float, ...]
-    multiplicative: tuple[float, ...]
-    additive_se: tuple[float, ...]
-    multiplicative_se: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -107,43 +95,31 @@ class Strategy:
     Every strategy applies the one known-drift law model.control_known_a and
     differs only in the drift estimate it plugs in: known_a the true drift a,
     bayes and bayes_improper the posterior mean of a under their prior.
-    zero_control applies no control.  control and the simulator both apply
-    the law from a gain row through _control.
+    zero_control applies no control.  gain_table is the law's only form here.
     """
 
     name: str
     a: float | None = None
     prior: GaussianPrior | None = None
 
-    def control(self, q, xi, t: float, spec: ProblemSpec):
-        """Control at time t for positions q and statistics xi (arrays of paths):
-        the gain-table row at t, applied by _control as the step loop does."""
-        q = np.asarray(q, dtype=float)
-        u = np.zeros_like(q)
-        if self.name != "zero_control":
-            _control(self._gain_row(t, spec), q, np.asarray(xi, dtype=float), u, np.empty_like(q))
-        return u
-
-    def _gain_row(self, t: float, spec: ProblemSpec) -> tuple:
-        """The law's coefficients at time t: (-e2, e1/2, t + sigma^-2) for the
-        Bayesian strategies, (-e2, e1/2 * a, None) for known_a."""
-        if self.prior is None:
-            neg_e2, half_e1 = control_gains(t, spec)
-            return neg_e2, half_e1 * self.a, None
-        w = posterior_precision(t, self.prior)
-        return (*control_gains(t, spec), w)
-
     def gain_table(self, config: SimConfig) -> list[tuple] | None:
-        """The gain row of each controlled step k = k_start, ..., n_steps - 1,
-        at t = k dt; None for zero_control, which applies no control."""
+        """The law's coefficients at each controlled step k = k_start, ...,
+        n_steps - 1, at t = k dt: (-e2, e1/2, t + sigma^-2) for the Bayesian
+        strategies, (-e2, e1/2 * a, None) for known_a; None for zero_control,
+        which applies no control.  k_start * dt may fall an ulp short of
+        t_start (11 * 0.03 < 0.33); the gains do not depend on t_start."""
         if self.name == "zero_control":
             return None
-        # k_start * dt may fall an ulp short of t_start (11 * 0.03 < 0.33), so
-        # the rows come from the spec without its observation phase; the gains
-        # do not depend on t_start.
-        law_spec = replace(config.spec, t_start=0.0)
-        dt = config.dt
-        return [self._gain_row(k * dt, law_spec) for k in range(config.k_start, config.n_steps)]
+        spec, dt = config.spec, config.dt
+        rows = []
+        for k in range(config.k_start, config.n_steps):
+            t = k * dt
+            g = own_gains(t, spec)
+            if self.prior is None:
+                rows.append((-g.e2, 0.5 * g.e1 * self.a, None))
+            else:
+                rows.append((-g.e2, 0.5 * g.e1, posterior_precision(t, self.prior)))
+        return rows
 
     def describe(self) -> dict:
         d = {"variant": self.name}
@@ -355,39 +331,10 @@ def analytic_cost(strategy: Strategy, config: SimConfig) -> float:
     if strategy.name == "known_a":
         if strategy.a != a:
             raise DomainError("analytic cost for known_a assumes the strategy knows a_true")
-        if t0 == 0.0:
-            return value_known_a(0.0, 0.0, a, spec)
         return opponent_cost(a, spec)
     if t0 == 0.0:
         return bayes_cost(0.0, 0.0, 0.0, a, strategy.prior, spec)
     return opponent_cost(a, spec) + additive_regret(a, strategy.prior, spec)
-
-
-def regret_empirical(
-    strategy: Strategy, a_values, config: SimConfig
-) -> RegretReport:
-    """Empirical additive/multiplicative regret over a drift grid.
-
-    Our cost comes from Monte Carlo; the informed opponent's cost is exact
-    (expectation of the known-a value function).  Standard errors propagate
-    directly: se(AR) = se, se(MR) = se / opponent cost.
-    """
-    a_values = tuple(float(a) for a in a_values)
-    ar, mr, ar_se, mr_se = [], [], [], []
-    for a in a_values:
-        est = monte_carlo_cost(strategy, replace(config, a_true=a))
-        opp = opponent_cost(a, config.spec)
-        ar.append(est.mean - opp)
-        mr.append(est.mean / opp)
-        ar_se.append(est.stderr)
-        mr_se.append(est.stderr / opp)
-    return RegretReport(
-        a_values=a_values,
-        additive=tuple(ar),
-        multiplicative=tuple(mr),
-        additive_se=tuple(ar_se),
-        multiplicative_se=tuple(mr_se),
-    )
 
 
 def dump_trajectory(path, trajectory: np.ndarray) -> None:

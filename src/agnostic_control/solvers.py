@@ -152,10 +152,9 @@ def _coeffs_at_zero(T: float) -> Callable[[float], tuple[float, float]]:
     return coeffs
 
 
-def _sigma_mr_residual(T: float, coeffs=None) -> Callable[[float], float]:
-    """sigma -> (e0 + F0)/e0 - F#/e# at horizon T, F0/F# read from coeffs: the
-    residual solve_sigma_mr zeroes."""
-    coeffs = coeffs or _coeffs_at_zero(T)
+def _sigma_mr_residual(T: float, coeffs) -> Callable[[float], float]:
+    """sigma -> (e0 + F0)/e0 - F#/e# at horizon T, F0/F# read from coeffs, a
+    _coeffs_at_zero(T) table: the residual solve_sigma_mr zeroes."""
     g = own_gains(0.0, ProblemSpec(horizon=T))
     e0, e_sharp = g.e0, g.e_sharp
 
@@ -216,10 +215,9 @@ def _taxed_opponent(T: float, f_sharp: float) -> tuple[float, float]:
     return lam, lam * math.sqrt(lam) * e0_unit(s)
 
 
-def _fueltax_residual(T: float, coeffs=None) -> Callable[[float], float]:
+def _fueltax_residual(T: float, coeffs) -> Callable[[float], float]:
     """sigma -> 1 - (e0_lambda - e0)/F0 at horizon T, lambda = lambda(sigma), with
     F0/F# read as in _sigma_mr_residual: the residual solve_fueltax zeroes."""
-    coeffs = coeffs or _coeffs_at_zero(T)
     e0 = own_gains(0.0, ProblemSpec(horizon=T)).e0
 
     def resid(sigma: float) -> float:

@@ -169,8 +169,6 @@ def test_c7_monte_carlo_vs_analytic():
 
 
 def test_c8_minimax_spot_check():
-    from agnostic_control.performance import mr_general, mr_general_limit
-
     T = 2.0
     spec = ProblemSpec(horizon=T)
     sigma_star = ac.solve_sigma_mr(T).root
@@ -183,8 +181,9 @@ def test_c8_minimax_spot_check():
         sup = max(sup, ac.multiplicative_regret_limit(prior, spec))
         margins.append(sup - mr_star)
     spec_obs = ProblemSpec(horizon=T, t_start=0.1)
-    sup = max(mr_general(a, IMPROPER, spec_obs) for a in a_grid)
-    sup = max(sup, mr_general_limit(IMPROPER, spec_obs))
+    form = ac.regret_form(IMPROPER, spec_obs)
+    sup = max(form(a) for a in a_grid)
+    sup = max(sup, form.limit)
     margins.append(sup - mr_star)
     report(
         8,

@@ -13,6 +13,7 @@ from agnostic_control import (
     SingularityError,
     control_known_a,
     make_strategy,
+    perf_coeffs,
     posterior,
     simulate_path,
 )
@@ -33,6 +34,17 @@ def test_prior_validation():
     assert not p.is_improper
     imp = GaussianPrior.improper()
     assert imp.is_improper and imp.precision == 0.0
+
+
+def test_numpy_scalar_width_acts_as_a_float():
+    # numpy scalars would overflow with a RuntimeWarning (an error in this
+    # test run) where a Python float raises or gives inf
+    prior = GaussianPrior(np.float64(1e160))
+    assert type(prior.sigma) is float and prior.sigma == 1e160
+    with pytest.raises(SingularityError):
+        perf_coeffs(0.0, prior, ProblemSpec(2.0))
+    with pytest.raises(DomainError):  # sigma^-4 overflows
+        GaussianPrior(np.float64(1e-100))
 
 
 def test_xi_tracks_q_under_zero_control():
@@ -72,37 +84,33 @@ def test_posterior_limits():
     assert abs(narrow) <= 1e-5
 
 
+def _control_bayes(q, xi, t, prior, spec):
+    """The Bayesian control: the known-drift law with the posterior mean as drift."""
+    return control_known_a(q, t, posterior(xi, t, prior)[0], spec)
+
+
 def test_control_bayes_examples():
     spec = ProblemSpec(horizon=1.0)
-    bayes = make_strategy("bayes", sigma=1.0)
-    assert bayes.control(0.0, 0.0, 0.5, spec) == 0.0
-    u = bayes.control(1.0, 0.0, 0.0, spec)
+    prior = GaussianPrior(1.0)
+    assert _control_bayes(0.0, 0.0, 0.5, prior, spec) == 0.0
+    u = _control_bayes(1.0, 0.0, 0.0, prior, spec)
     assert u == pytest.approx(-math.tanh(1.0), rel=1e-14)
 
     spec2 = ProblemSpec(horizon=2.0, t_start=0.5)
-    u = make_strategy("bayes_improper").control(0.0, 1.0, 1.0, spec2)
+    u = _control_bayes(0.0, 1.0, 1.0, GaussianPrior.improper(), spec2)
     assert u == pytest.approx(-ONE_MINUS_SECH1, rel=1e-14)
-
-
-def test_control_bayes_domain():
-    spec = ProblemSpec(horizon=1.0, t_start=0.2)
-    bayes = make_strategy("bayes", sigma=1.0)
-    with pytest.raises(DomainError):
-        bayes.control(0.0, 0.0, 0.1, spec)
-    with pytest.raises(DomainError):
-        bayes.control(0.0, 0.0, 1.5, spec)
 
 
 def test_dirac_prior_matches_known_zero_drift():
     # a near-certain prior at 0 reproduces the known-a control with a=0
     spec = ProblemSpec(horizon=2.0)
-    bayes = make_strategy("bayes", sigma=1e-8)
+    prior = GaussianPrior(1e-8)
     rng = np.random.default_rng(5)
     for _ in range(20):
         q = rng.normal() * 2
         xi = rng.normal()
         t = rng.uniform(0, 1.9)
-        u = bayes.control(q, xi, t, spec)
+        u = _control_bayes(q, xi, t, prior, spec)
         assert u == pytest.approx(control_known_a(q, t, 0.0, spec), abs=1e-6)
 
 

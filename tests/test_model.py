@@ -185,6 +185,8 @@ def test_domain_errors():
         value_known_a(0.0, 2.0, 0.0, spec)
     with pytest.raises(DomainError):
         control_known_a(0.0, 0.1, 0.0, spec)  # inside observation phase
+    with pytest.raises(DomainError):
+        control_known_a(0.0, 1.5, 0.0, spec)  # past the horizon
 
 
 def test_spec_validation():

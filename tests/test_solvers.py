@@ -19,13 +19,13 @@ from agnostic_control import (
     multiplicative_regret,
     multiplicative_regret_limit,
     perf_coeffs,
+    regret_form,
     solve_fueltax,
     solve_sigma_mr,
     sweep,
     worst_case_mr,
 )
 from agnostic_control import solvers
-from agnostic_control.performance import mr_general, mr_general_limit
 
 
 def test_find_root_simple():
@@ -128,7 +128,8 @@ def test_residuals_change_sign_once_over_the_scan(log_T):
     # what lets find_root bisect the scan: its bracket is then the first sign
     # change; the secant steps inside it read the values, so they must be finite
     T = 10.0 ** log_T
-    for resid in (solvers._sigma_mr_residual(T), solvers._fueltax_residual(T)):
+    coeffs = solvers._coeffs_at_zero(T)
+    for resid in (solvers._sigma_mr_residual(T, coeffs), solvers._fueltax_residual(T, coeffs)):
         values = [resid(float(s)) for s in solvers._SIGMA_SCAN]
         assert all(math.isfinite(v) for v in values), T
         signs = [math.copysign(1.0, v) for v in values]
@@ -240,6 +241,7 @@ def test_minimax_spot_check():
 
     spec_obs = ProblemSpec(horizon=T, t_start=0.1)
     prior = GaussianPrior.improper()
-    sup = max(mr_general(a, prior, spec_obs) for a in a_grid)
-    sup = max(sup, mr_general_limit(prior, spec_obs))
+    form = regret_form(prior, spec_obs)
+    sup = max(form(a) for a in a_grid)
+    sup = max(sup, form.limit)
     assert sup >= mr_star - 1e-8
