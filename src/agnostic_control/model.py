@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import DomainError
 
@@ -56,6 +57,12 @@ class ProblemSpec:
 
     def with_fuel_weight(self, lam: float) -> "ProblemSpec":
         return replace(self, fuel_weight=lam)
+
+    @cached_property
+    def _untaxed(self) -> "ProblemSpec":
+        # built and validated once per spec: cached_property stores it in the
+        # instance dict, which the frozen __setattr__ does not guard
+        return self.with_fuel_weight(1.0)
 
 
 @dataclass(frozen=True)
@@ -132,9 +139,7 @@ def gains(t: float, spec: ProblemSpec) -> GainSchedule:
 
 def own_gains(t: float, spec: ProblemSpec) -> GainSchedule:
     """Gain schedule at fuel weight 1 (our side never pays the fuel tax)."""
-    if spec.fuel_weight == 1.0:
-        return gains(t, spec)
-    return gains(t, spec.with_fuel_weight(1.0))
+    return gains(t, spec if spec.fuel_weight == 1.0 else spec._untaxed)
 
 
 def value_known_a(q: float, t: float, a: float, spec: ProblemSpec) -> float:

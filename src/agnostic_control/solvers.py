@@ -16,6 +16,12 @@ scan's length evaluations; when the ends agree, the scan is walked from the
 start for the first change.  The Illinois method (Dowell & Jarratt, BIT 11,
 1971), a regula falsi in log sigma that halves the value of an end kept
 twice in a row, then narrows that pair until |residual| <= F_TOL.
+
+A sweep continues along the curve it solves (Allgower & Georg, Numerical
+Continuation Methods, 1990): sigma moves smoothly with the horizon, so each
+point first tries a narrow bracket around the linear extrapolation, in
+(log T, log sigma), of the last two converged roots before it, and scans
+only when that bracket holds no sign change.  Single solves always scan.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ _NEWTON_MAX = 64
 F_TOL = 1e-9
 #: Most evaluations find_root makes inside the bracket.
 _MAX_ITER = 200
+#: Least half-width, in log sigma, of the bracket a sweep point tries first.
+_NEAR_HALF_WIDTH = 0.005
 
 #: Default horizon grid behind the figure sweeps: 40 log-spaced points
 #: covering all qualitative features (regret peak near T=2, both tails).
@@ -65,22 +73,11 @@ class SweepTable:
     records: tuple[dict, ...]
 
 
-def find_root(f: Callable[[float], float], xs) -> SolveResult:
-    """Root of f in a sign change over the positive, increasing xs
-    (NoRootError, with the (x, f(x)) pairs as .scan, if there is none).
-
-    f is evaluated at both ends of xs first.  When their signs differ, the
-    bracket is the adjacent pair of xs that bisection over the indices of xs
-    closes on: the first sign change whenever f changes sign once over xs.
-    When they agree, xs is walked from the start for the first sign change.
-    The Illinois method narrows that bracket in u = log x: each step takes the
-    secant point of the bracket's ends, or their midpoint when that point is
-    not strictly inside, and replaces the end whose value has its sign; an
-    end kept twice in a row has its stored value halved, which stops a convex
-    f from holding one end fixed.  When the next point would equal an end, the
-    bracket has closed to adjacent floats: the last point evaluated is returned
-    unconverged.  iterations counts the evaluations inside the bracket, ends included.
-    """
+def _scan_bracket(f: Callable[[float], float], xs) -> tuple[float, float, float, float]:
+    """(a, f(a), b, f(b)) for the adjacent pair of xs around a sign change of f:
+    the pair bisection over the indices of xs closes on when f differs in sign
+    at the ends of xs, the first sign change of a walk from the start when
+    they agree (NoRootError, with the (x, f(x)) pairs as .scan, if there is none)."""
     xs = [float(x) for x in xs]
     values: dict[int, float] = {}
 
@@ -104,8 +101,30 @@ def find_root(f: Callable[[float], float], xs) -> SolveResult:
             err.scan = [(x, values[i]) for i, x in enumerate(xs)]
             raise err
         hi = lo + 1
+    return xs[lo], values[lo], xs[hi], values[hi]
 
-    a, fa, b, fb = xs[lo], values[lo], xs[hi], values[hi]
+
+def find_root(f: Callable[[float], float], xs, *, near=None) -> SolveResult:
+    """Root of f in a sign change over the positive, increasing xs
+    (NoRootError, with the (x, f(x)) pairs as .scan, if there is none).
+
+    The bracket is near, a pair lo < hi of positive x, when f differs in sign
+    at its two ends; otherwise, or without near, it is the pair of xs that
+    _scan_bracket finds: the first sign change whenever f changes sign once
+    over xs.  The Illinois method narrows that bracket in u = log x: each step
+    takes the secant point of the bracket's ends, or their midpoint when that
+    point is not strictly inside, and replaces the end whose value has its
+    sign; an end kept twice in a row has its stored value halved, which stops
+    a convex f from holding one end fixed.  When the next point would equal an
+    end, the bracket has closed to adjacent floats: the last point evaluated is
+    returned unconverged.  iterations counts the evaluations inside the
+    bracket, ends included.
+    """
+    if near is not None:
+        a, b = (float(x) for x in near)
+        fa, fb = f(a), f(b)
+    if near is None or math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        a, fa, b, fb = _scan_bracket(f, xs)
     iters = 2
     for x, fx in ((a, fa), (b, fb)):
         if abs(fx) <= F_TOL:
@@ -165,11 +184,12 @@ def _sigma_mr_residual(T: float, coeffs) -> Callable[[float], float]:
     return resid
 
 
-def solve_sigma_mr(T: float) -> SolveResult:
+def solve_sigma_mr(T: float, *, near=None) -> SolveResult:
     """Prior width sigma* making the competitive ratio independent of the drift:
-    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0; .form is the ratio there."""
+    its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0; .form is the ratio
+    there.  near, a sigma bracket to try before the scan, is find_root's."""
     coeffs = _coeffs_at_zero(T)
-    sr = find_root(_sigma_mr_residual(T, coeffs), _SIGMA_SCAN)
+    sr = find_root(_sigma_mr_residual(T, coeffs), _SIGMA_SCAN, near=near)
     form = regret_form(GaussianPrior(sr.root), ProblemSpec(horizon=T), coeffs=coeffs(sr.root))
     return replace(sr, form=form)
 
@@ -228,7 +248,7 @@ def _fueltax_residual(T: float, coeffs) -> Callable[[float], float]:
     return resid
 
 
-def solve_fueltax(T: float) -> tuple[SolveResult, SolveResult]:
+def solve_fueltax(T: float, *, near=None) -> tuple[SolveResult, SolveResult]:
     """Fuel-tax regret at horizon T: the fuel weight lambda* of the informed
     opponent at which a prior, of width sigma_ft, makes the taxed cost ratio
     equal to 1 for every drift.  Returns (lambda result, sigma result); the
@@ -238,10 +258,10 @@ def solve_fueltax(T: float) -> tuple[SolveResult, SolveResult]:
     Our side pays no tax, so F0 and F# at t = 0 depend on sigma only.  Ratio 1
     at a = 0, F#(sigma) = e#_lambda, gives lambda(sigma) in closed form; ratio
     1 as a -> inf, F0(sigma) = e0_lambda - e0, is one bracketed root in sigma,
-    with the residual taken relative to F0.
+    with the residual taken relative to F0.  near is as in solve_sigma_mr.
     """
     coeffs = _coeffs_at_zero(T)
-    sr = find_root(_fueltax_residual(T, coeffs), _SIGMA_SCAN)
+    sr = find_root(_fueltax_residual(T, coeffs), _SIGMA_SCAN, near=near)
     lam, lam_lo, lam_hi = (
         _taxed_opponent(T, coeffs(s)[1])[0] for s in (sr.root, sr.bracket_lo, sr.bracket_hi)
     )
@@ -259,12 +279,30 @@ def certify_constant_mr(T: float, sigma: float, a_values=A_GRID_DEFAULT) -> floa
     return max(vals) - min(vals)
 
 
-def _solve_point(quantity: str, T: float) -> dict:
+def _near(log_T: float, roots: list[tuple[float, float]]) -> tuple[float, float] | None:
+    """The sigma bracket exp(g -+ d) a sweep point at log_T tries first, from the
+    (log T, log sigma) roots converged before it: g extrapolates the last two
+    linearly and d = max(_NEAR_HALF_WIDTH, (g - log sigma_last)^2), so that a
+    long step, which extrapolates worse, tries a wider bracket.  None with
+    fewer than two roots at distinct log T, or when the bracket leaves the
+    scan's range, where the scan would find no root."""
+    if len(roots) < 2 or roots[-2][0] == roots[-1][0]:
+        return None
+    (u0, v0), (u1, v1) = roots[-2:]
+    g = v1 + (v1 - v0) * (log_T - u1) / (u1 - u0)
+    d = max(_NEAR_HALF_WIDTH, (g - v1) * (g - v1))  # a product overflows to inf; ** raises
+    # written as `lo <= x` so that a NaN extrapolation gives no bracket
+    if math.log(_SIGMA_SCAN[0]) <= g - d and g + d <= math.log(_SIGMA_SCAN[-1]):
+        return math.exp(g - d), math.exp(g + d)
+    return None
+
+
+def _solve_point(quantity: str, T: float, near) -> dict:
     if quantity == "fueltax":
-        lam_r, sig_r = solve_fueltax(T)
+        lam_r, sig_r = solve_fueltax(T, near=near)
         return {"T": T, "lambda_star": lam_r.root, "sigma_ft": sig_r.root,
                 "converged": lam_r.converged and sig_r.converged}
-    sr = solve_sigma_mr(T)
+    sr = solve_sigma_mr(T, near=near)
     rec = {"T": T, "sigma_star": sr.root, "converged": sr.converged}
     if quantity == "mr_star":  # the form lets figure 2 reuse sigma* without a quadrature
         rec.update(mr_star_optimal=sr.form(0.0), form=sr.form)
@@ -273,7 +311,12 @@ def _solve_point(quantity: str, T: float) -> dict:
 
 def sweep(quantity: str, t_grid) -> SweepTable:
     """Solve one quantity over a horizon grid, point by point in grid order;
-    per-point failures are recorded, never interpolated."""
+    per-point failures are recorded, never interpolated.
+
+    Each point continues from the converged points before it: its solve first
+    tries the sigma bracket _near extrapolates from their roots, and scans as a
+    single solve does when that bracket holds no sign change or there is none.
+    """
     if quantity not in ("sigma_mr", "mr_star", "fueltax"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")
     grid = tuple(float(t) for t in t_grid)
@@ -285,10 +328,14 @@ def sweep(quantity: str, t_grid) -> SweepTable:
     ):
         raise DomainError("horizon grid must be positive, finite and strictly increasing")
 
-    def solve_one(T: float) -> dict:
+    root_key = "sigma_ft" if quantity == "fueltax" else "sigma_star"
+    records, roots = [], []
+    for T in grid:
         try:
-            return _solve_point(quantity, T)
+            rec = _solve_point(quantity, T, _near(math.log(T), roots))
         except Exception as exc:  # recorded, sweep continues
-            return {"T": T, "error": f"{type(exc).__name__}: {exc}"}
-
-    return SweepTable(grid=grid, records=tuple(solve_one(T) for T in grid))
+            rec = {"T": T, "error": f"{type(exc).__name__}: {exc}"}
+        if rec.get("converged"):
+            roots.append((math.log(T), math.log(rec[root_key])))
+        records.append(rec)
+    return SweepTable(grid=grid, records=tuple(records))

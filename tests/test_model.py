@@ -16,6 +16,7 @@ from agnostic_control import (
     gains,
     value_known_a,
 )
+from agnostic_control.model import own_gains
 
 # frozen 30-digit evaluations of the closed forms at s=1
 TANH1 = 0.761594155955764888119458282605
@@ -113,6 +114,22 @@ def test_lambda_one_matches_plain_forms():
         assert abs(g.e1 - 2.0 * (1.0 - 1.0 / math.cosh(s))) <= 1e-12
         assert abs(g.e0 - (s - math.tanh(s))) <= 1e-12
         assert abs(g.e_sharp - math.log(math.cosh(s))) <= 1e-12
+
+
+def test_own_gains_on_a_taxed_spec_are_the_untaxed_gains_without_a_spec_per_call(monkeypatch):
+    spec = ProblemSpec(horizon=3.0, t_start=0.5, fuel_weight=4.0)
+    untaxed = ProblemSpec(horizon=3.0, t_start=0.5)
+    built = []
+    original = ProblemSpec.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ProblemSpec, "__post_init__", counted)
+    for t in np.linspace(0.0, 3.0, 50):
+        assert own_gains(t, spec) == gains(t, untaxed)  # bit for bit
+    assert len(built) == 1  # the weight-1 spec, once for the taxed spec
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-5, 1e-2, 1.0, 30.0])

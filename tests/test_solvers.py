@@ -25,6 +25,7 @@ from agnostic_control import (
     sweep,
     worst_case_mr,
 )
+from agnostic_control.solvers import F_TOL, T_GRID_DEFAULT
 from agnostic_control import solvers
 
 
@@ -120,6 +121,82 @@ def test_solves_quadrature_budget(monkeypatch):
     calls.clear()
     solve_fueltax(2.0)
     assert len(calls) <= 13
+
+
+def test_find_root_tries_near_before_the_scan():
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return math.log(x) - math.log(2.5)
+
+    r = find_root(f, solvers._SIGMA_SCAN, near=(2.4, 2.6))
+    assert r.converged and r.root == pytest.approx(2.5, rel=1e-9)
+    assert 2.4 <= r.bracket_lo <= r.root <= r.bracket_hi <= 2.6
+    assert all(2.4 <= x <= 2.6 for x in seen) and r.iterations == len(seen)
+    # no sign change over near: its two evaluations are dropped, the scan runs as without it
+    seen.clear()
+    r = find_root(f, solvers._SIGMA_SCAN, near=(3.0, 4.0))
+    assert seen[:2] == [3.0, 4.0]
+    assert r == find_root(f, solvers._SIGMA_SCAN)
+
+
+def test_a_near_bracket_without_a_root_raises_the_scan_error():
+    # at T = 1e-8 neither residual changes sign over the scan
+    for solve in (solve_sigma_mr, solve_fueltax):
+        with pytest.raises(NoRootError) as cold:
+            solve(1e-8)
+        with pytest.raises(NoRootError) as warm:
+            solve(1e-8, near=(0.5, 0.6))
+        assert str(warm.value) == str(cold.value) and warm.value.scan == cold.value.scan
+
+
+@pytest.mark.parametrize("quantity", ["sigma_mr", "fueltax"])
+@pytest.mark.parametrize("grid", [
+    T_GRID_DEFAULT,
+    (0.5, 1.0, 2.0, 4.0, 8.0),
+    tuple(np.logspace(-2.0, 3.0, 60)),
+    (1e-8, 1e-7, 1e-2, 0.1, 1.0, 10.0),  # NoRootError at the first two horizons
+    (1e10, float(np.nextafter(1e10, 2e10)), 2e10),  # the first two have one log T
+], ids=["default", "readme", "logspace60", "no_root", "equal_log_T"])
+def test_sweep_continuation_matches_cold_solves(quantity, grid):
+    # a one-point sweep has no roots to continue from: it is the cold solve
+    warm = sweep(quantity, grid).records
+    cold = [sweep(quantity, (T,)).records[0] for T in grid]
+    key = "sigma_ft" if quantity == "fueltax" else "sigma_star"
+    for w, c in zip(warm, cold):
+        T = w["T"]
+        assert w.get("error") == c.get("error") and w.get("converged") == c.get("converged"), T
+        if not w.get("converged"):
+            continue
+        sigma = w[key]
+        coeffs = solvers._coeffs_at_zero(T)
+        if quantity == "fueltax":
+            assert abs(solvers._fueltax_residual(T, coeffs)(sigma)) <= F_TOL, T
+            form = regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T), w["lambda_star"])
+            assert abs(form(0.0) - 1.0) <= F_TOL, T
+        else:
+            assert abs(solvers._sigma_mr_residual(T, coeffs)(sigma)) <= F_TOL, T
+        if grid is T_GRID_DEFAULT:  # F_TOL pins sigma* loosely only below T = 3.5e-2
+            assert sigma == pytest.approx(c[key], rel=1e-9 if quantity == "fueltax" else 1e-6), T
+    assert any(w.get("converged") for w in warm)
+    assert ("error" in warm[0]) == (grid[0] == 1e-8)
+
+
+def test_sweep_quadrature_budget(monkeypatch):
+    # continuing from the neighbours' roots: cold per-point solves made 466 and 547
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return perf_coeffs(*args)
+
+    monkeypatch.setattr(solvers, "perf_coeffs", counted)
+    sweep("sigma_mr", T_GRID_DEFAULT)
+    assert len(calls) <= 240
+    calls.clear()
+    sweep("fueltax", T_GRID_DEFAULT)
+    assert len(calls) <= 270
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
