@@ -19,13 +19,17 @@ u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt, dq = (a + u) dt +
 sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
 bit-identical to calling model.control_known_a at each step.
 
-monte_carlo_cost works through the paths in blocks of _CHUNK.  One helper
-thread draws half of the first block's noise while the calling thread builds
-the gain table and draws the other half; then, while the calling thread
-steps block c, the helper draws block c + 1 (numpy's normal sampler releases
-the GIL).  Each block is scaled by sqrt(dt) in place as soon as it is drawn.
-So at most two blocks are in memory, and the noise and the step order are
-those of a serial run.
+monte_carlo_cost works through the paths in blocks of _CHUNK.  From
+_THREAD_MIN_STEPS steps per path on, one helper thread draws half of the
+first block's noise while the calling thread builds the gain table and draws
+the other half; then, while the calling thread steps block c, the helper
+draws block c + 1 (numpy's normal sampler releases the GIL).  Shorter paths
+are drawn and stepped block by block on the calling thread alone: _fill_noise
+takes the GIL back for every row, and with short rows the two threads spent
+longer passing it between them than the overlap saved.  Each block is scaled
+by sqrt(dt) in place as soon as it is drawn.  So at most two blocks are in
+memory, and on both paths the noise and the step order are those of a serial
+run.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .performance import additive_regret, bayes_cost, opponent_cost
 
 MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
+#: Fewest steps per path at which monte_carlo_cost draws noise on a helper thread.
+_THREAD_MIN_STEPS = 600
 
 
 @dataclass(frozen=True)
@@ -281,16 +287,16 @@ def monte_carlo_cost(
     strategy: Strategy, config: SimConfig, keep_costs: bool = False
 ) -> CostEstimate:
     """Mean realized cost and its standard error over independent paths."""
-    from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
-
     strategy.check_config(config)
     _check_budget(config)
     n_paths = config.n_paths
     sqrt_dt = math.sqrt(config.dt)
     costs = np.empty(n_paths)
-    # Two block buffers, reused: the helper fills one while this thread steps the other.
+    # Block buffers, reused: the helper, if any, fills one while this thread steps the other.
+    threaded = config.n_steps >= _THREAD_MIN_STEPS
     shape = (min(_CHUNK, n_paths), config.n_steps)
-    buffers = (np.empty(shape), np.empty(shape) if n_paths > _CHUNK else None)
+    buf = np.empty(shape)
+    buffers = (buf, np.empty(shape) if threaded and n_paths > _CHUNK else buf)
 
     def block(start: int) -> np.ndarray:
         return buffers[start // _CHUNK % 2][:n_paths - start]
@@ -300,20 +306,27 @@ def monte_carlo_cost(
         rows *= sqrt_dt  # in place: a scaled copy would be a third block
         return rows
 
-    # Leaving the with-block, on success or error, waits for the helper.
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        noise = block(0)
-        half = len(noise) // 2
-        pending = helper.submit(draw, noise[half:], half)
+    if not threaded:
         table = strategy.gain_table(config)
-        draw(noise[:half], 0)
-        pending.result()
         for start in range(0, n_paths, _CHUNK):
-            following = start + _CHUNK
-            pending = helper.submit(draw, block(following), following) if following < n_paths else None
-            costs[start:following] = _run_block(table, config, noise)[0]
-            if pending is not None:
-                noise = pending.result()
+            costs[start:start + _CHUNK] = _run_block(table, config, draw(block(start), start))[0]
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
+
+        # Leaving the with-block, on success or error, waits for the helper.
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            noise = block(0)
+            half = len(noise) // 2
+            pending = helper.submit(draw, noise[half:], half)
+            table = strategy.gain_table(config)
+            draw(noise[:half], 0)
+            pending.result()
+            for start in range(0, n_paths, _CHUNK):
+                following = start + _CHUNK
+                pending = helper.submit(draw, block(following), following) if following < n_paths else None
+                costs[start:following] = _run_block(table, config, noise)[0]
+                if pending is not None:
+                    noise = pending.result()
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else math.inf
     return CostEstimate(mean, se, config.n_paths, costs if keep_costs else None)

@@ -18,10 +18,13 @@ start for the first change.  The Illinois method (Dowell & Jarratt, BIT 11,
 twice in a row, then narrows that pair until |residual| <= F_TOL.
 
 A sweep continues along the curve it solves (Allgower & Georg, Numerical
-Continuation Methods, 1990): sigma moves smoothly with the horizon, so each
-point first tries a narrow bracket around the linear extrapolation, in
-(log T, log sigma), of the last two converged roots before it, and scans
-only when that bracket holds no sign change.  Single solves always scan.
+Continuation Methods, 1990), as a predictor-corrector: sigma moves smoothly
+with the horizon, so each point's solve starts from a guess of log sigma
+extrapolated, in (log T, log sigma), from the roots converged before it, and
+corrects it by secant steps from the residual's slope in log sigma that the
+last solve measured.  About three quadratures settle a point; only when the
+guess fails does the point scan as a single solve does, and single solves
+always scan.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ _NEWTON_MAX = 64
 F_TOL = 1e-9
 #: Most evaluations find_root makes inside the bracket.
 _MAX_ITER = 200
-#: Least half-width, in log sigma, of the bracket a sweep point tries first.
-_NEAR_HALF_WIDTH = 0.005
+#: Most evaluations find_root spends on a guess before it scans.
+_GUESS_MAX = 7
 
 #: Default horizon grid behind the figure sweeps: 40 log-spaced points
 #: covering all qualitative features (regret peak near T=2, both tails).
@@ -55,6 +58,11 @@ T_GRID_DEFAULT = tuple(np.logspace(math.log10(0.1), math.log10(20.0), 40))
 
 @dataclass(frozen=True)
 class SolveResult:
+    """One root solve.  bracket_lo and bracket_hi hold the root between a sign
+    change of the residual, except after a solve from a guess, where they are
+    the span of its iterates.  slope is d(residual)/d(log root) through the
+    last two points evaluated (None where nothing measured it)."""
+
     root: float
     residual: float
     iterations: int
@@ -63,6 +71,7 @@ class SolveResult:
     converged: bool
     #: the regret form at the root, where the root is a prior width (None from find_root)
     form: RegretForm | None = None
+    slope: float | None = None
 
 
 @dataclass(frozen=True)
@@ -104,33 +113,71 @@ def _scan_bracket(f: Callable[[float], float], xs) -> tuple[float, float, float,
     return xs[lo], values[lo], xs[hi], values[hi]
 
 
-def find_root(f: Callable[[float], float], xs, *, near=None) -> SolveResult:
+def _from_guess(f: Callable[[float], float], xs, x: float, slope: float) -> SolveResult | None:
+    """Secant steps in u = log x from x, the first along slope = df/du, each
+    later one along the secant of the last two points, until |f| <= F_TOL.
+    None, for find_root to scan, when x or a step leaves [xs[0], xs[-1]] or
+    is not finite, when a step leads away from the root (f keeps its sign and
+    grows, as after a wrong-sign slope) or when _GUESS_MAX evaluations pass."""
+    lo, hi = math.log(xs[0]), math.log(xs[-1])
+    # written as `not lo <= x` so that a NaN guess or step falls back
+    if not xs[0] <= x <= xs[-1]:
+        return None
+    u, fx = math.log(x), f(x)
+    iters, x_lo, x_hi = 1, x, x
+    while not abs(fx) <= F_TOL:  # a NaN residual steps to NaN and falls back
+        if iters == _GUESS_MAX or slope == 0.0:
+            return None
+        u_next = u - fx / slope
+        if not lo <= u_next <= hi:
+            return None
+        x_next = math.exp(u_next)
+        f_next = f(x_next)
+        iters += 1
+        if abs(f_next) >= abs(fx) and math.copysign(1.0, f_next) == math.copysign(1.0, fx):
+            return None  # the step led away from the root
+        slope = (f_next - fx) / (u_next - u)
+        u, x, fx = u_next, x_next, f_next
+        x_lo, x_hi = min(x_lo, x), max(x_hi, x)
+    return SolveResult(x, fx, iters, x_lo, x_hi, True, slope=slope)
+
+
+def find_root(f: Callable[[float], float], xs, *, guess=None) -> SolveResult:
     """Root of f in a sign change over the positive, increasing xs
     (NoRootError, with the (x, f(x)) pairs as .scan, if there is none).
 
-    The bracket is near, a pair lo < hi of positive x, when f differs in sign
-    at its two ends; otherwise, or without near, it is the pair of xs that
-    _scan_bracket finds: the first sign change whenever f changes sign once
-    over xs.  The Illinois method narrows that bracket in u = log x: each step
-    takes the secant point of the bracket's ends, or their midpoint when that
-    point is not strictly inside, and replaces the end whose value has its
-    sign; an end kept twice in a row has its stored value halved, which stops
-    a convex f from holding one end fixed.  When the next point would equal an
-    end, the bracket has closed to adjacent floats: the last point evaluated is
-    returned unconverged.  iterations counts the evaluations inside the
-    bracket, ends included.
+    guess, a pair (x, df/dlog x), starts a secant solve at x (_from_guess);
+    the scan runs only when that fails, and then exactly as without a guess.
+    A guessed solve's bracket is the span of its iterates, not a sign change,
+    and like a scan end it is accepted on |f| <= F_TOL alone: where f stays
+    within F_TOL of 0 over all of xs, as the sigma* residual does below
+    T = 4e-6, it converges where the scan finds no sign change.
+
+    The scan's bracket is the pair of xs that _scan_bracket finds: the first
+    sign change whenever f changes sign once over xs.  The Illinois method
+    narrows that bracket in u = log x: each step takes the secant point of the
+    bracket's ends, or their midpoint when that point is not strictly inside,
+    and replaces the end whose value has its sign; an end kept twice in a row
+    has its stored value halved, which stops a convex f from holding one end
+    fixed.  When the next point would equal an end, the bracket has closed to
+    adjacent floats: the last point evaluated is returned unconverged.
+    iterations counts the evaluations inside the bracket, ends included, or
+    from the guess.
     """
-    if near is not None:
-        a, b = (float(x) for x in near)
-        fa, fb = f(a), f(b)
-    if near is None or math.copysign(1.0, fa) == math.copysign(1.0, fb):
-        a, fa, b, fb = _scan_bracket(f, xs)
+    if guess is not None:
+        sr = _from_guess(f, xs, *(float(v) for v in guess))
+        if sr is not None:
+            return sr
+    a, fa, b, fb = _scan_bracket(f, xs)
+    ua, ub = math.log(a), math.log(b)
+    # the last point evaluated, with its value as evaluated, not as halved
+    u_last, f_last = ub, fb
+    slope = (fb - fa) / (ub - ua)
     iters = 2
     for x, fx in ((a, fa), (b, fb)):
         if abs(fx) <= F_TOL:
-            return SolveResult(x, fx, iters, a, b, True)
+            return SolveResult(x, fx, iters, a, b, True, slope=slope)
 
-    ua, ub = math.log(a), math.log(b)
     kept = 0  # the end kept by the last step: -1 for a, +1 for b
     while iters < _MAX_ITER:
         u = ub - fb * (ub - ua) / (fb - fa)
@@ -143,8 +190,9 @@ def find_root(f: Callable[[float], float], xs, *, near=None) -> SolveResult:
             break
         x, fx = x_next, f(x_next)
         iters += 1
+        slope, u_last, f_last = (fx - f_last) / (u - u_last), u, fx
         if abs(fx) <= F_TOL:
-            return SolveResult(x, fx, iters, a, b, True)
+            return SolveResult(x, fx, iters, a, b, True, slope=slope)
         if math.copysign(1.0, fx) == math.copysign(1.0, fa):
             a, ua, fa = x, u, fx
             if kept == 1:
@@ -155,7 +203,7 @@ def find_root(f: Callable[[float], float], xs, *, near=None) -> SolveResult:
             if kept == -1:
                 fa *= 0.5
             kept = -1
-    return SolveResult(x, fx, iters, a, b, False)
+    return SolveResult(x, fx, iters, a, b, False, slope=slope)
 
 
 def _coeffs_at_zero(T: float) -> Callable[[float], tuple[float, float]]:
@@ -184,12 +232,13 @@ def _sigma_mr_residual(T: float, coeffs) -> Callable[[float], float]:
     return resid
 
 
-def solve_sigma_mr(T: float, *, near=None) -> SolveResult:
+def solve_sigma_mr(T: float, *, guess=None) -> SolveResult:
     """Prior width sigma* making the competitive ratio independent of the drift:
     its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0; .form is the ratio
-    there.  near, a sigma bracket to try before the scan, is find_root's."""
+    there.  guess, a sigma and the residual's slope in log sigma to start
+    from before the scan, is find_root's."""
     coeffs = _coeffs_at_zero(T)
-    sr = find_root(_sigma_mr_residual(T, coeffs), _SIGMA_SCAN, near=near)
+    sr = find_root(_sigma_mr_residual(T, coeffs), _SIGMA_SCAN, guess=guess)
     form = regret_form(GaussianPrior(sr.root), ProblemSpec(horizon=T), coeffs=coeffs(sr.root))
     return replace(sr, form=form)
 
@@ -248,20 +297,20 @@ def _fueltax_residual(T: float, coeffs) -> Callable[[float], float]:
     return resid
 
 
-def solve_fueltax(T: float, *, near=None) -> tuple[SolveResult, SolveResult]:
+def solve_fueltax(T: float, *, guess=None) -> tuple[SolveResult, SolveResult]:
     """Fuel-tax regret at horizon T: the fuel weight lambda* of the informed
     opponent at which a prior, of width sigma_ft, makes the taxed cost ratio
     equal to 1 for every drift.  Returns (lambda result, sigma result); the
-    lambda bracket is lambda(sigma) at the ends of the final sigma bracket,
+    lambda bracket is lambda(sigma) at the ends of the sigma result's bracket,
     and the lambda result's form is the taxed ratio at (sigma_ft, lambda*).
 
     Our side pays no tax, so F0 and F# at t = 0 depend on sigma only.  Ratio 1
     at a = 0, F#(sigma) = e#_lambda, gives lambda(sigma) in closed form; ratio
     1 as a -> inf, F0(sigma) = e0_lambda - e0, is one bracketed root in sigma,
-    with the residual taken relative to F0.  near is as in solve_sigma_mr.
+    with the residual taken relative to F0.  guess is as in solve_sigma_mr.
     """
     coeffs = _coeffs_at_zero(T)
-    sr = find_root(_fueltax_residual(T, coeffs), _SIGMA_SCAN, near=near)
+    sr = find_root(_fueltax_residual(T, coeffs), _SIGMA_SCAN, guess=guess)
     lam, lam_lo, lam_hi = (
         _taxed_opponent(T, coeffs(s)[1])[0] for s in (sr.root, sr.bracket_lo, sr.bracket_hi)
     )
@@ -279,43 +328,60 @@ def certify_constant_mr(T: float, sigma: float, a_values=A_GRID_DEFAULT) -> floa
     return max(vals) - min(vals)
 
 
-def _near(log_T: float, roots: list[tuple[float, float]]) -> tuple[float, float] | None:
-    """The sigma bracket exp(g -+ d) a sweep point at log_T tries first, from the
-    (log T, log sigma) roots converged before it: g extrapolates the last two
-    linearly and d = max(_NEAR_HALF_WIDTH, (g - log sigma_last)^2), so that a
-    long step, which extrapolates worse, tries a wider bracket.  None with
-    fewer than two roots at distinct log T, or when the bracket leaves the
-    scan's range, where the scan would find no root."""
-    if len(roots) < 2 or roots[-2][0] == roots[-1][0]:
+def _guess(log_T: float, roots: list[tuple[float, float]], slope: float):
+    """The (sigma, slope) a sweep point at log_T starts from, None before any
+    root has converged.  roots are the (log T, log sigma) converged before it:
+    log sigma is the polynomial through the last three at distinct log T,
+    quadratic through three, linear through two, and through one the small-T
+    scaling sigma sqrt(T) -> const that both residuals share.  slope is the
+    last solve's.  A guess outside the scan's range, NaN or overflowing
+    included, makes find_root scan."""
+    pts = []  # newest first; grid order makes log T non-decreasing
+    for u, v in reversed(roots):
+        if len(pts) == 3:
+            break
+        if not pts or u != pts[-1][0]:
+            pts.append((u, v))
+    if not pts:
         return None
-    (u0, v0), (u1, v1) = roots[-2:]
-    g = v1 + (v1 - v0) * (log_T - u1) / (u1 - u0)
-    d = max(_NEAR_HALF_WIDTH, (g - v1) * (g - v1))  # a product overflows to inf; ** raises
-    # written as `lo <= x` so that a NaN extrapolation gives no bracket
-    if math.log(_SIGMA_SCAN[0]) <= g - d and g + d <= math.log(_SIGMA_SCAN[-1]):
-        return math.exp(g - d), math.exp(g + d)
-    return None
+    if len(pts) == 1:
+        (u1, v1), = pts
+        g = v1 - 0.5 * (log_T - u1)
+    else:  # Lagrange form; products overflow to inf, never raise
+        g = 0.0
+        for i, (ui, vi) in enumerate(pts):
+            w = vi
+            for j, (uj, _) in enumerate(pts):
+                if j != i:
+                    w *= (log_T - uj) / (ui - uj)
+            g += w
+    # math.exp raises past 709.78; find_root scans for any guess beyond the scan's range
+    return math.exp(min(g, 709.0)), slope
 
 
-def _solve_point(quantity: str, T: float, near) -> dict:
+def _solve_point(quantity: str, T: float, guess) -> tuple[dict, SolveResult]:
+    """The sweep record at T and the sigma solve behind it."""
     if quantity == "fueltax":
-        lam_r, sig_r = solve_fueltax(T, near=near)
+        lam_r, sig_r = solve_fueltax(T, guess=guess)
         return {"T": T, "lambda_star": lam_r.root, "sigma_ft": sig_r.root,
-                "converged": lam_r.converged and sig_r.converged}
-    sr = solve_sigma_mr(T, near=near)
+                "converged": lam_r.converged and sig_r.converged}, sig_r
+    sr = solve_sigma_mr(T, guess=guess)
     rec = {"T": T, "sigma_star": sr.root, "converged": sr.converged}
     if quantity == "mr_star":  # the form lets figure 2 reuse sigma* without a quadrature
         rec.update(mr_star_optimal=sr.form(0.0), form=sr.form)
-    return rec
+    return rec, sr
 
 
 def sweep(quantity: str, t_grid) -> SweepTable:
     """Solve one quantity over a horizon grid, point by point in grid order;
     per-point failures are recorded, never interpolated.
 
-    Each point continues from the converged points before it: its solve first
-    tries the sigma bracket _near extrapolates from their roots, and scans as a
-    single solve does when that bracket holds no sign change or there is none.
+    Each point continues from the converged points before it, as a predictor-
+    corrector: _guess predicts its sigma from their roots, and find_root
+    corrects that by secant steps, from the slope the last converged solve
+    measured, until |residual| <= F_TOL.  A point scans as a single solve
+    does when none has converged yet or when the guess fails; either way it
+    integrates F0/F# once for each sigma it tries.
     """
     if quantity not in ("sigma_mr", "mr_star", "fueltax"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")
@@ -328,14 +394,15 @@ def sweep(quantity: str, t_grid) -> SweepTable:
     ):
         raise DomainError("horizon grid must be positive, finite and strictly increasing")
 
-    root_key = "sigma_ft" if quantity == "fueltax" else "sigma_star"
-    records, roots = [], []
+    records, roots, slope = [], [], None
     for T in grid:
+        log_T = math.log(T)
         try:
-            rec = _solve_point(quantity, T, _near(math.log(T), roots))
+            rec, sr = _solve_point(quantity, T, _guess(log_T, roots, slope))
         except Exception as exc:  # recorded, sweep continues
             rec = {"T": T, "error": f"{type(exc).__name__}: {exc}"}
         if rec.get("converged"):
-            roots.append((math.log(T), math.log(rec[root_key])))
+            roots.append((log_T, math.log(sr.root)))
+            slope = sr.slope
         records.append(rec)
     return SweepTable(grid=grid, records=tuple(records))

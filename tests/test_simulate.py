@@ -181,23 +181,28 @@ def test_path_streams_independent_of_chunking():
     make_strategy("bayes", sigma=1.5), make_strategy("zero_control"),
 ])
 def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
-    # noise for block c + 1 is drawn on a helper thread while block c steps;
-    # the costs must be those of a serial path-by-path run, whatever the block size
+    # from _THREAD_MIN_STEPS steps on, noise for block c + 1 is drawn on a
+    # helper thread while block c steps; below, each block is drawn, then
+    # stepped.  The costs must be those of a serial path-by-path run, whatever
+    # the block size, on both paths
     cfg = small_config(a_true=0.5, n_paths=50, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
     table, scaled = strategy.gain_table(cfg), math.sqrt(cfg.dt) * noise
     serial = np.concatenate([simulate._run_block(table, cfg, scaled[i:i + 1])[0]
                              for i in range(cfg.n_paths)])
-    for chunk in (7, cfg.n_paths, 4096):
-        monkeypatch.setattr(simulate, "_CHUNK", chunk)
-        costs = monte_carlo_cost(strategy, cfg, keep_costs=True).costs
-        assert costs.tobytes() == serial.tobytes()
+    for min_steps in (0, cfg.n_steps + 1):
+        monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", min_steps)
+        for chunk in (7, cfg.n_paths, 4096):
+            monkeypatch.setattr(simulate, "_CHUNK", chunk)
+            costs = monte_carlo_cost(strategy, cfg, keep_costs=True).costs
+            assert costs.tobytes() == serial.tobytes(), (min_steps, chunk)
     for i in range(cfg.n_paths):
         assert simulate_path(strategy, cfg, path_index=i)[1] == serial[i]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_error_in_first_block_leaves_no_helper_thread(monkeypatch):
+    monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", 0)
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     cfg = small_config(a_true=1e200, n_paths=50)
     before = threading.active_count()

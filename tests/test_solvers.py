@@ -123,45 +123,84 @@ def test_solves_quadrature_budget(monkeypatch):
     assert len(calls) <= 13
 
 
-def test_find_root_tries_near_before_the_scan():
+def test_find_root_corrects_a_guess_before_the_scan():
     seen = []
 
     def f(x):
         seen.append(x)
-        return math.log(x) - math.log(2.5)
+        return x * x - 2.0
 
-    r = find_root(f, solvers._SIGMA_SCAN, near=(2.4, 2.6))
-    assert r.converged and r.root == pytest.approx(2.5, rel=1e-9)
-    assert 2.4 <= r.bracket_lo <= r.root <= r.bracket_hi <= 2.6
-    assert all(2.4 <= x <= 2.6 for x in seen) and r.iterations == len(seen)
-    # no sign change over near: its two evaluations are dropped, the scan runs as without it
+    def solve(guess):
+        seen.clear()
+        return find_root(f, solvers._SIGMA_SCAN, guess=guess), list(seen)
+
+    cold, cold_seen = solve(None)
+    assert cold.converged and cold.slope == pytest.approx(4.0, rel=1e-6)  # df/dlog x = 2x^2
+    # a good guess: secant steps from it, no scan; the bracket is the span of the iterates
+    r, evals = solve((1.415, 4.0))
+    assert r.converged and abs(r.residual) <= F_TOL and r.root == pytest.approx(2 ** 0.5, rel=1e-9)
+    assert r.iterations == len(evals) <= 4 and r.root == evals[-1]
+    assert (r.bracket_lo, r.bracket_hi) == (min(evals), max(evals))
+    assert r.slope == pytest.approx(4.0, rel=1e-3)
+    # a NaN guess or slope, a zero or wrong-sign slope, a guess beyond the scan or
+    # one whose first step leaves it: the guess's evaluations are dropped, and
+    # the solve is the cold one
+    for guess in ((math.nan, 4.0), (1.415, math.nan), (1.415, 0.0), (1.415, -4.0),
+                  (2e3, 4.0), (900.0, 4.0)):
+        r, evals = solve(guess)
+        assert r == cold, guess
+        assert evals[len(evals) - len(cold_seen):] == cold_seen, guess
+        assert len(evals) - len(cold_seen) <= (0 if math.isnan(guess[0]) or guess[0] > 1e3 else 2), guess
+        assert r.bracket_lo <= r.root <= r.bracket_hi, guess
+
+
+def test_find_root_drops_a_guess_that_runs_out_of_steps():
+    # secant steps close on a triple root only linearly: after _GUESS_MAX
+    # evaluations without |f| <= F_TOL the scan takes over
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return (math.log(x) - math.log(2.5)) ** 3
+
+    cold = find_root(f, solvers._SIGMA_SCAN)
+    n_cold = len(seen)
     seen.clear()
-    r = find_root(f, solvers._SIGMA_SCAN, near=(3.0, 4.0))
-    assert seen[:2] == [3.0, 4.0]
-    assert r == find_root(f, solvers._SIGMA_SCAN)
+    r = find_root(f, solvers._SIGMA_SCAN, guess=(1.0, 3.0 * math.log(2.5) ** 2))
+    assert r == cold and len(seen) == solvers._GUESS_MAX + n_cold
 
 
-def test_a_near_bracket_without_a_root_raises_the_scan_error():
-    # at T = 1e-8 neither residual changes sign over the scan
-    for solve in (solve_sigma_mr, solve_fueltax):
+def test_a_failing_guess_raises_the_scan_error():
+    # at T = 1e-8 neither residual changes sign over the scan; the fuel-tax
+    # residual is 1 at every sigma, so no step from a guess shrinks it
+    for solve, guess in ((solve_sigma_mr, (2e3, -1.0)), (solve_fueltax, (0.5, -1.0)),
+                         (solve_fueltax, (0.5, 1.0))):
         with pytest.raises(NoRootError) as cold:
             solve(1e-8)
         with pytest.raises(NoRootError) as warm:
-            solve(1e-8, near=(0.5, 0.6))
+            solve(1e-8, guess=guess)
         assert str(warm.value) == str(cold.value) and warm.value.scan == cold.value.scan
 
 
 @pytest.mark.parametrize("quantity", ["sigma_mr", "fueltax"])
-@pytest.mark.parametrize("grid", [
-    T_GRID_DEFAULT,
-    (0.5, 1.0, 2.0, 4.0, 8.0),
-    tuple(np.logspace(-2.0, 3.0, 60)),
-    (1e-8, 1e-7, 1e-2, 0.1, 1.0, 10.0),  # NoRootError at the first two horizons
-    (1e10, float(np.nextafter(1e10, 2e10)), 2e10),  # the first two have one log T
-], ids=["default", "readme", "logspace60", "no_root", "equal_log_T"])
-def test_sweep_continuation_matches_cold_solves(quantity, grid):
-    # a one-point sweep has no roots to continue from: it is the cold solve
+@pytest.mark.parametrize("grid, rescans", [
+    (T_GRID_DEFAULT, False),
+    ((0.5, 1.0, 2.0, 4.0, 8.0), False),
+    (tuple(np.logspace(-2.0, 3.0, 60)), False),
+    ((1e-8, 1e-7, 1e-2, 0.1, 1.0, 10.0), None),  # NoRootError at the first two horizons
+    ((1e10, float(np.nextafter(1e10, 2e10)), 2e10), None),  # the first two have one log T
+    ((0.1, 0.2, 0.4, 0.8, 500.0, 1000.0), True),  # the guess at 500 fails: that point scans
+], ids=["default", "readme", "logspace60", "no_root", "equal_log_T", "jump"])
+def test_sweep_continuation_matches_cold_solves(monkeypatch, quantity, grid, rescans):
+    scans = []
+    scan = solvers._scan_bracket
+    monkeypatch.setattr(solvers, "_scan_bracket", lambda f, xs: scans.append(1) or scan(f, xs))
     warm = sweep(quantity, grid).records
+    # each point scans until one converges; a later one only when its guess fails
+    n_cold = next(i for i, w in enumerate(warm) if w.get("converged")) + 1
+    if rescans is not None:
+        assert (len(scans) > n_cold) == rescans, len(scans)
+    # a one-point sweep has no roots to continue from: it is the cold solve
     cold = [sweep(quantity, (T,)).records[0] for T in grid]
     key = "sigma_ft" if quantity == "fueltax" else "sigma_star"
     for w, c in zip(warm, cold):
@@ -184,7 +223,9 @@ def test_sweep_continuation_matches_cold_solves(quantity, grid):
 
 
 def test_sweep_quadrature_budget(monkeypatch):
-    # continuing from the neighbours' roots: cold per-point solves made 466 and 547
+    # predictor-corrector continuation: 128, 128 and 135 quadratures; cold
+    # per-point solves made 466, 466 and 547, a near bracket then Illinois 229,
+    # 229 and 256
     calls = []
 
     def counted(*args):
@@ -192,11 +233,10 @@ def test_sweep_quadrature_budget(monkeypatch):
         return perf_coeffs(*args)
 
     monkeypatch.setattr(solvers, "perf_coeffs", counted)
-    sweep("sigma_mr", T_GRID_DEFAULT)
-    assert len(calls) <= 240
-    calls.clear()
-    sweep("fueltax", T_GRID_DEFAULT)
-    assert len(calls) <= 270
+    for quantity, budget in (("sigma_mr", 140), ("mr_star", 140), ("fueltax", 150)):
+        calls.clear()
+        sweep(quantity, T_GRID_DEFAULT)
+        assert len(calls) <= budget, quantity
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
