@@ -11,12 +11,18 @@ Every number printed is produced by a library call; the CLI only parses
 flags and serializes results.  Floats are serialized with 17 significant
 digits so output round-trips exactly.  Exit codes: 0 success, 2 usage or
 domain error, 3 budget exceeded, 4 solver or quadrature failure.
+
+main(argv) runs one command in-process and returns its exit code.  It
+builds the argument parser on its first call and reuses it for every later
+one in the process: argparse keeps no state between parses, and --help,
+--version and usage errors print to sys.stdout/sys.stderr as they are then.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -26,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .bayes import GaussianPrior
-from .errors import BudgetError, DomainError, NoRootError, QuadratureError
+from .errors import BudgetError, DomainError, NoRootError, NonFiniteError, QuadratureError
 from .model import ProblemSpec, gains
 from .performance import A_GRID_DEFAULT, regret_form
 from .simulate import (
@@ -97,13 +103,21 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 def _parse_grid(text: str) -> list[float]:
     """'start:stop:n' -> n log-spaced points; or a comma-separated list."""
     if ":" in text:
+        error = DomainError(
+            f"--grid must be 'start:stop:n' with positive, finite start and stop, got {text!r}"
+        )
         try:
             start, stop, n = text.split(":")
-            return list(np.logspace(math.log10(float(start)), math.log10(float(stop)), int(n)))
+            ends = float(start), float(stop)
+            n = int(n)
         except ValueError:
-            raise DomainError(
-                f"--grid must be 'start:stop:n' with positive start and stop, got {text!r}"
-            ) from None
+            raise error from None
+        # written as `not lo < x` so that NaN fails the check
+        if not all(0.0 < end < math.inf for end in ends) or n < 0:
+            raise error
+        # a stop near the largest float may round up to inf, which sweep rejects
+        with np.errstate(over="ignore"):
+            return list(np.logspace(math.log10(ends[0]), math.log10(ends[1]), n))
     return _parse_floats(text, "--grid")
 
 
@@ -176,7 +190,21 @@ def _cmd_simulate(args) -> int:
     spec = ProblemSpec(horizon=args.T, t_start=args.T0)
     strategy = make_strategy(args.strategy, a=args.a, sigma=args.sigma)
     config = SimConfig(spec=spec, a_true=args.a, dt=args.dt, n_paths=args.paths, seed=args.seed)
-    est = monte_carlo_cost(strategy, config)
+    # the dumped trajectories are the first ones the estimate averaged
+    if not 0 <= args.dump_paths <= args.paths:
+        raise DomainError(
+            f"--dump-paths must lie in [0, --paths={args.paths}], got {args.dump_paths}"
+        )
+    if args.dump_paths and not args.out:
+        raise DomainError("--dump-paths needs --out")
+    # a drift near the square root of the largest float overflows q^2, u^2 or their mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            est = monte_carlo_cost(strategy, config)
+        except NonFiniteError:
+            est = None
+    if est is None or not math.isfinite(est.mean):
+        raise DomainError(f"the simulated cost overflows at a={args.a}, T={args.T}")
     ref = analytic_cost(strategy, config)
     se = est.stderr if math.isfinite(est.stderr) else None  # inf from a single path
     z = (est.mean - ref) / se if se else None
@@ -273,6 +301,7 @@ def _cmd_regret(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acl", description="Drift-learning control: gains, regret, figures, Monte Carlo"
@@ -326,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -1,14 +1,17 @@
 """CLI surface: schemas, exit codes, reproducibility, thin-shell guarantee."""
 
+import argparse
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agnostic_control import ProblemSpec, gains
+from agnostic_control import ProblemSpec, __version__, gains, cli
 from agnostic_control.cli import main
 
 
@@ -155,6 +158,23 @@ def test_simulate_dumps_paths(tmp_path, capsys):
     assert len(lines) == 11
 
 
+@pytest.mark.parametrize("argv", [
+    ["--paths", "3", "--dump-paths", "5", "--out", "OUT"],  # paths the estimate never used
+    ["--paths", "3", "--dump-paths", "-1", "--out", "OUT"],
+    ["--paths", "3", "--dump-paths", "2"],  # nowhere to write them
+])
+def test_simulate_bad_dump_paths_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(
+        capsys,
+        "simulate", "--strategy", "zero_control", "--T", "1", "--dt", "0.1",
+        *[str(out) if a == "OUT" else a for a in argv],
+    )
+    assert code == 2
+    assert stdout == "" and err.startswith("error: --dump-paths")
+    assert not out.exists()
+
+
 def test_regret_multiplicative_auto_flat(capsys):
     code, out, _ = run_cli(capsys, "regret", "--mode", "multiplicative", "--T", "2")
     assert code == 0
@@ -225,6 +245,45 @@ def test_regret_additive_requires_t0(capsys):
     assert code == 2
 
 
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_main_builds_its_parser_once(monkeypatch, request):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    # the acl parser and its 4 subcommand parsers: 5 a build
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    request.addfinalizer(cli.build_parser.cache_clear)
+    calls = [
+        ["gains", "--T", "2", "--t", "0.5", "--lambda", "1"],
+        ["gains", "--T", "1"],
+        ["--help"],
+        ["--version"],
+        ["regret", "--mode", "multiplicative", "--T", "2"],
+        ["gains", "--T", "2", "--t", "0.5", "--lambda", "1"],
+    ]
+    reused = [_run_captured(argv) for argv in calls]
+    assert 0 < len(built) <= 5
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 0]
+    assert reused[2][1].startswith("usage: acl")
+    assert reused[3][1] == __version__ + "\n"
+
+
 def test_usage_error_exit_2(capsys):
     code, _, _ = run_cli(capsys, "gains", "--T", "1")  # missing --t
     assert code == 2
@@ -233,10 +292,15 @@ def test_usage_error_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ["figures", "--which", "1", "--grid", "2,1", "--out", "OUT"],
     ["figures", "--which", "1", "--grid", "abc", "--out", "OUT"],
+    ["figures", "--which", "1", "--grid", "1:inf:3", "--out", "OUT"],
+    ["figures", "--which", "1", "--grid", "0:1:3", "--out", "OUT"],
+    ["figures", "--which", "1", "--grid", "1:1.7976931348623157e308:3", "--out", "OUT"],
     ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "x"],
     ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "foo"],
     ["simulate", "--strategy", "known_a", "--a", "nan", "--T", "1", "--dt", "0.1",
      "--paths", "10"],
+    ["simulate", "--strategy", "zero_control", "--a", "1e300", "--T", "2", "--dt", "0.1",
+     "--paths", "2", "--out", "OUT"],  # the simulated squares overflow
     ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e-200"],
     ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "1e-100"],
     ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "0,1e200"],
@@ -292,9 +356,46 @@ def _argv(draw):
 @example(argv=["regret", "--mode", "multiplicative", "--T", "2", "--T0", "0", "--sigma", "1e300"])
 def test_argv_fuzz_exits_cleanly(argv):
     # every input runs or is rejected: a documented exit code, no traceback, no NaN printed
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _run_captured(argv)
     assert code in (0, 2, 3, 4), (argv, code)
-    assert "Traceback" not in err.getvalue(), argv
-    assert "nan" not in out.getvalue(), argv
+    assert "Traceback" not in err, argv
+    assert "nan" not in out, argv
+
+
+@st.composite
+def _simulate_argv(draw):
+    def valid_or(valid, other=_EXTREME):
+        # a valid value half the time, so that some of the runs succeed
+        return draw(st.sampled_from(valid) | st.sampled_from(other))
+
+    argv = [
+        "simulate",
+        "--strategy", draw(st.sampled_from(["zero_control", "known_a", "bayes", "bayes_improper"])),
+        "--T", valid_or(["0.5", "2"]),
+        "--dt", valid_or(["0.1", "0.25"], ["x", "nan"]),
+        "--paths", valid_or(["1", "2", "10"], ["-1", "0", "x"]),
+    ]
+    for flag, valid in [("--a", ["1"]), ("--T0", ["0.5"]), ("--sigma", ["1.5"]),
+                        ("--seed", ["7"]), ("--dump-paths", ["1"])]:
+        if draw(st.booleans()):
+            argv += [flag, valid_or(valid)]
+    if draw(st.booleans()):
+        argv += ["--out", "OUT"]
+    return argv
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(argv=_simulate_argv())
+@example(argv=["simulate", "--strategy", "known_a", "--T", "2", "--dt", "0.1", "--paths", "2",
+               "--a", "1e300"])
+@example(argv=["simulate", "--strategy", "bayes", "--T", "2", "--dt", "0.25", "--paths", "2",
+               "--sigma", "1e-8", "--dump-paths", "2", "--out", "OUT"])
+def test_simulate_argv_fuzz_exits_cleanly(argv):
+    # the same guarantees as above, and a rejected command writes nothing
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "sim")
+        code, out, err = _run_captured([out_dir if a == "OUT" else a for a in argv])
+        assert code in (0, 2, 3, 4), (argv, code)
+        assert "Traceback" not in err, argv
+        assert "nan" not in out, argv
+        assert code == 0 or not os.path.exists(out_dir), argv
