@@ -24,12 +24,8 @@ from .model import (
 from .performance import (
     A_GRID_DEFAULT,
     RegretForm,
-    additive_regret,
     bayes_cost,
     fueltax_ratio,
-    multiplicative_regret,
-    multiplicative_regret_limit,
-    opponent_cost,
     perf_coeffs,
     perf_coeffs_rk4,
     regret_form,

@@ -36,6 +36,9 @@ class GaussianPrior:
             self.sigma ** -4  # the squared precision, which the additive regret forms
         except OverflowError:
             raise DomainError(f"sigma={self.sigma} is too small: sigma^-4 overflows") from None
+        # a subnormal precision is still a proper prior; one that underflows to 0 is not
+        if not self.is_improper and self.precision == 0.0:
+            raise DomainError(f"sigma={self.sigma} is too large: sigma^-2 underflows to 0; use improper")
 
     @classmethod
     def improper(cls) -> "GaussianPrior":

@@ -237,7 +237,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_regret(args) -> int:
-    a_grid = _parse_floats(args.a_grid, "--a-grid") if args.a_grid else list(A_GRID_DEFAULT)
+    a_grid = list(A_GRID_DEFAULT) if args.a_grid is None else _parse_floats(args.a_grid, "--a-grid")
     result: dict = {"mode": args.mode, "T": args.T, "T0": args.T0, "a": a_grid}
 
     if args.mode == "additive":

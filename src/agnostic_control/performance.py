@@ -19,7 +19,10 @@ quadratics in a, so every regret is one Mobius function of a^2, monotone from
 a = 0 to a -> infinity: r(a) = (alpha + beta a^2) / (gamma + delta a^2).
 regret_form returns it per prior as a RegretForm: the cost ratio against an
 opponent taxed at weight lambda (at lambda = 1 the competitive ratio), or the
-additive regret (gamma = 1, delta = 0).  Each named regret is one use of it.
+additive regret (gamma = 1, delta = 0).  Callers read every regret from it:
+r(a), its a -> infinity .limit and its .sup.  The ratio form's numerator
+beta a^2 + alpha is our expected cost, and at lambda = 1 its denominator
+gamma + delta a^2 is the opponent's.
 """
 
 from __future__ import annotations
@@ -258,46 +261,9 @@ def regret_form(
     )
 
 
-def additive_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """Expected additive regret of the Bayesian strategy started from q(0)=0: needs
-    t_start > 0 (it diverges as t_start -> 0); independent of a for the improper prior."""
-    return regret_form(prior, spec, additive=True)(a)
-
-
-def multiplicative_regret(a: float, prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """Competitive ratio of the Bayesian strategy vs the informed opponent, t_start=0:
-    the fuel-tax ratio against an untaxed opponent."""
-    return fueltax_ratio(a, prior, 1.0, spec)
-
-
-def multiplicative_regret_limit(prior: GaussianPrior, spec: ProblemSpec) -> float:
-    """The a -> infinity limit of the competitive ratio (t_start = 0): (e0 + F0)/e0."""
-    if spec.t_start != 0.0:
-        raise DomainError("multiplicative regret is defined for t_start = 0")
-    return regret_form(prior, spec).limit
-
-
 def fueltax_ratio(a: float, prior: GaussianPrior, lambda_opp: float, spec: ProblemSpec) -> float:
     """Ratio of our (untaxed) Bayesian cost to the informed opponent's cost at fuel
     weight lambda_opp >= 1, both from (q=0, t=0): ((e0 + F0) a^2 + F#)/(e0_lam a^2 + e#_lam)."""
     if spec.t_start != 0.0:
         raise DomainError("fuel-tax and multiplicative ratios are defined for t_start = 0")
     return regret_form(prior, spec, lambda_opp)(a)
-
-
-def opponent_cost(a: float, spec: ProblemSpec) -> float:
-    """Expected total cost of the informed opponent started from q(0)=0.
-
-    The opponent also observes only on [0, t_start]; its cost is the
-    expectation of the known-a value function over q(t_start) ~ N(a t0, t0).
-    """
-    _check_drift(a)
-    t0 = spec.t_start
-    g = own_gains(t0, spec)
-    return (
-        g.e2 * (a * a * t0 * t0 + t0)
-        + g.e1 * a * a * t0
-        + g.e0 * a * a
-        + g.e_sharp
-    )
-

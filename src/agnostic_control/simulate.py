@@ -42,8 +42,8 @@ import numpy as np
 
 from .bayes import GaussianPrior, posterior_precision
 from .errors import BudgetError, DomainError, NonFiniteError
-from .model import ProblemSpec, own_gains
-from .performance import additive_regret, bayes_cost, opponent_cost
+from .model import ProblemSpec, own_gains, value_known_a
+from .performance import _check_drift, regret_form
 
 MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
@@ -333,7 +333,8 @@ def monte_carlo_cost(
 
 
 def analytic_cost(strategy: Strategy, config: SimConfig) -> float:
-    """Closed-form expected cost matching a simulated strategy, from q(0)=0."""
+    """Closed-form expected cost matching a simulated strategy, from q(0)=0;
+    neither strategy pays a taxed spec's fuel weight."""
     spec = config.spec
     a = config.a_true
     t0 = spec.t_start
@@ -341,13 +342,16 @@ def analytic_cost(strategy: Strategy, config: SimConfig) -> float:
         # E[q(t)^2] = a^2 t^2 + t under pure drift-plus-noise
         T = spec.horizon
         return a * a * (T ** 3 - t0 ** 3) / 3.0 + (T * T - t0 * t0) / 2.0
+    _check_drift(a)
     if strategy.name == "known_a":
         if strategy.a != a:
             raise DomainError("analytic cost for known_a assumes the strategy knows a_true")
-        return opponent_cost(a, spec)
-    if t0 == 0.0:
-        return bayes_cost(0.0, 0.0, 0.0, a, strategy.prior, spec)
-    return opponent_cost(a, spec) + additive_regret(a, strategy.prior, spec)
+        # the known-a value is quadratic in q(t0) ~ N(a t0, t0): the two-point rule is exact
+        points = (a * t0 + math.sqrt(t0), a * t0 - math.sqrt(t0))
+        return 0.5 * sum(value_known_a(q, t0, a, spec.with_fuel_weight(1.0)) for q in points)
+    # the numerator of the Bayesian strategy's cost ratio is its expected cost
+    form = regret_form(strategy.prior, spec)
+    return form.beta * (a * a) + form.alpha
 
 
 def dump_trajectory(path, trajectory: np.ndarray) -> None:

@@ -322,7 +322,8 @@ def solve_fueltax(T: float, *, guess=None) -> tuple[SolveResult, SolveResult]:
 
 def certify_constant_mr(T: float, sigma: float, a_values=A_GRID_DEFAULT) -> float:
     """Spread of the competitive ratio over the drift grid, each drift evaluated, plus its
-    infinite-drift limit; the independent check that a solved sigma* gives constant regret."""
+    infinite-drift limit.  It evaluates the same RegretForm that solve_sigma_mr returns
+    as .form, rebuilt from a fresh quadrature at sigma."""
     form = regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T))
     vals = [form(a) for a in a_values] + [form.limit]
     return max(vals) - min(vals)

@@ -114,14 +114,16 @@ def test_c5_fueltax_small_horizon_bound():
 
 def test_c6_additive_regret_constancy_and_divergence():
     spec = ProblemSpec(horizon=2.0, t_start=0.5)
-    ar_ref = ac.additive_regret(0.0, IMPROPER, spec)
-    assert ar_ref == ac.additive_regret(2.0, IMPROPER, spec)  # exact a-independence
+    form = ac.regret_form(IMPROPER, spec, additive=True)
+    ar_ref = form(0.0)
+    assert ar_ref == form(2.0)  # exact a-independence
 
     estimates = {}
     for a in (0.0, 2.0):
         cfg = ac.SimConfig(spec=spec, a_true=a, dt=1e-3, n_paths=10_000, seed=20)
         est = ac.monte_carlo_cost(ac.make_strategy("bayes_improper"), cfg)
-        estimates[a] = (est.mean - ac.opponent_cost(a, spec), est.stderr)
+        opp = ac.simulate.analytic_cost(ac.make_strategy("known_a", a=a), cfg)
+        estimates[a] = (est.mean - opp, est.stderr)
     for a, (ar, se) in estimates.items():
         assert abs(ar - ar_ref) <= 3 * se, f"a={a}: AR {ar} vs analytic {ar_ref}, se {se}"
     gap = abs(estimates[0.0][0] - estimates[2.0][0])
@@ -130,7 +132,7 @@ def test_c6_additive_regret_constancy_and_divergence():
 
     ars = []
     for t0 in (0.1, 0.01, 0.001):
-        ars.append(ac.additive_regret(0.0, IMPROPER, ProblemSpec(horizon=2.0, t_start=t0)))
+        ars.append(ac.regret_form(IMPROPER, ProblemSpec(horizon=2.0, t_start=t0), additive=True)(0.0))
     diffs = np.diff(ars)
     ok = np.all(diffs > 0) and abs(diffs[1] / diffs[0] - 1.0) <= 0.2
     report(
@@ -176,9 +178,9 @@ def test_c8_minimax_spot_check():
     a_grid = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
     margins = []
     for factor in (0.9, 1.1, 0.7, 1.3):
-        prior = GaussianPrior(sigma_star * factor)
-        sup = max(ac.multiplicative_regret(a, prior, spec) for a in a_grid)
-        sup = max(sup, ac.multiplicative_regret_limit(prior, spec))
+        form = ac.regret_form(GaussianPrior(sigma_star * factor), spec)
+        sup = max(form(a) for a in a_grid)
+        sup = max(sup, form.limit)
         margins.append(sup - mr_star)
     spec_obs = ProblemSpec(horizon=T, t_start=0.1)
     form = ac.regret_form(IMPROPER, spec_obs)

@@ -29,6 +29,9 @@ def test_prior_validation():
     for sigma in (1e-200, 1e-100):  # the precision, or its square, overflows
         with pytest.raises(DomainError):
             GaussianPrior(sigma)
+    for sigma in (1e200, 1e300):  # the precision underflows to that of the improper prior
+        with pytest.raises(DomainError, match="use improper"):
+            GaussianPrior(sigma)
     p = GaussianPrior(2.0)
     assert p.precision == 0.25
     assert not p.is_improper

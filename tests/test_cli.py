@@ -289,29 +289,41 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["figures", "--which", "1", "--grid", "2,1", "--out", "OUT"],
-    ["figures", "--which", "1", "--grid", "abc", "--out", "OUT"],
-    ["figures", "--which", "1", "--grid", "1:inf:3", "--out", "OUT"],
-    ["figures", "--which", "1", "--grid", "0:1:3", "--out", "OUT"],
-    ["figures", "--which", "1", "--grid", "1:1.7976931348623157e308:3", "--out", "OUT"],
-    ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "x"],
-    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "foo"],
-    ["simulate", "--strategy", "known_a", "--a", "nan", "--T", "1", "--dt", "0.1",
-     "--paths", "10"],
-    ["simulate", "--strategy", "zero_control", "--a", "1e300", "--T", "2", "--dt", "0.1",
-     "--paths", "2", "--out", "OUT"],  # the simulated squares overflow
-    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e-200"],
-    ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "1e-100"],
-    ["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "0,1e200"],
-    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e160"],
-    ["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e300"],
-])
-def test_bad_input_exit_2_without_traceback(capsys, tmp_path, argv):
+# a finite prior width whose precision underflows to 0, the improper prior's
+_SIGMA_UNDERFLOWS = "error: sigma=1e+300 is too large: sigma^-2 underflows to 0; use improper"
+#: (argv, a line of stderr or part of one; "" where the exit code is the check)
+_BAD_INPUT = [
+    (["figures", "--which", "1", "--grid", "2,1", "--out", "OUT"], ""),
+    (["figures", "--which", "1", "--grid", "abc", "--out", "OUT"], ""),
+    (["figures", "--which", "1", "--grid", "1:inf:3", "--out", "OUT"], ""),
+    (["figures", "--which", "1", "--grid", "0:1:3", "--out", "OUT"], ""),
+    (["figures", "--which", "1", "--grid", "1:1.7976931348623157e308:3", "--out", "OUT"], ""),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "x"], ""),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "foo"], ""),
+    (["simulate", "--strategy", "known_a", "--a", "nan", "--T", "1", "--dt", "0.1",
+     "--paths", "10"], ""),
+    (["simulate", "--strategy", "zero_control", "--a", "1e300", "--T", "2", "--dt", "0.1",
+     "--paths", "2", "--out", "OUT"], ""),  # the simulated squares overflow
+    (["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e-200"], ""),
+    (["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "1e-100"], ""),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--a-grid", "0,1e200"], ""),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e160"], ""),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "1e300"], _SIGMA_UNDERFLOWS),
+    (["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "1e300"], _SIGMA_UNDERFLOWS),
+    (["simulate", "--strategy", "bayes", "--sigma", "1e300", "--T", "2", "--dt", "0.1", "--paths", "2"],
+     _SIGMA_UNDERFLOWS),
+    (["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "improper", "--a-grid", ""],
+     "--a-grid must be comma-separated numbers, got ''"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_INPUT, ids=[f"argv{i}" for i in range(len(_BAD_INPUT))])
+def test_bad_input_exit_2_without_traceback(capsys, tmp_path, argv, message):
     out = tmp_path / "out"
     code, _, err = run_cli(capsys, *[str(out) if a == "OUT" else a for a in argv])
     assert code == 2
     assert "Traceback" not in err
+    assert message in err
     assert not out.exists()  # a rejected command writes nothing
 
 

@@ -15,14 +15,12 @@ from agnostic_control import (
     GaussianPrior,
     ProblemSpec,
     QuadratureError,
+    SimConfig,
     SingularityError,
-    additive_regret,
     bayes_cost,
     fueltax_ratio,
     gains,
-    multiplicative_regret,
-    multiplicative_regret_limit,
-    opponent_cost,
+    make_strategy,
     perf_coeffs,
     perf_coeffs_rk4,
     regret_form,
@@ -30,6 +28,7 @@ from agnostic_control import (
 )
 from agnostic_control import performance
 from agnostic_control.model import _check_time, log_cosh
+from agnostic_control.simulate import analytic_cost
 
 IMPROPER = GaussianPrior.improper()
 
@@ -161,16 +160,17 @@ def test_import_loads_no_dependency_but_numpy():
         lambda spec, prior: perf_coeffs(math.nan, prior, spec),
         lambda spec, prior: perf_coeffs_rk4(math.nan, prior, spec),
         lambda spec, prior: bayes_cost(0.1, 0.2, 0.5, math.nan, prior, spec),
-        lambda spec, prior: additive_regret(math.inf, prior, ProblemSpec(horizon=2.0, t_start=0.5)),
-        lambda spec, prior: multiplicative_regret(math.nan, prior, spec),
+        lambda spec, prior: regret_form(prior, ProblemSpec(horizon=2.0, t_start=0.5), additive=True)(math.inf),
+        lambda spec, prior: regret_form(prior, spec)(math.nan),
         lambda spec, prior: fueltax_ratio(-math.inf, prior, 2.0, spec),
-        lambda spec, prior: opponent_cost(math.nan, spec),
+        # the opponent's cost is the known-a strategy's; SimConfig refuses a NaN drift
+        lambda spec, prior: analytic_cost(make_strategy("known_a", a=1.0), SimConfig(spec, a_true=math.nan)),
         # finite, but a^2 overflows
-        lambda spec, prior: multiplicative_regret(1e200, prior, spec),
+        lambda spec, prior: regret_form(prior, spec)(1e200),
         lambda spec, prior: fueltax_ratio(-1e200, prior, 2.0, spec),
-        lambda spec, prior: opponent_cost(1e200, spec),
+        lambda spec, prior: analytic_cost(make_strategy("known_a", a=1e200), SimConfig(spec, a_true=1e200)),
         # a^2 is finite, the opponent's cost e0 a^2 is not
-        lambda spec, prior: multiplicative_regret(1e100, prior, ProblemSpec(horizon=1e250)),
+        lambda spec, prior: regret_form(prior, ProblemSpec(horizon=1e250))(1e100),
     ],
     ids=["perf_coeffs-t", "perf_coeffs_rk4-t", "bayes_cost-a", "additive_regret-a",
          "multiplicative_regret-a", "fueltax_ratio-a", "opponent_cost-a",
@@ -231,8 +231,8 @@ def test_cost_gap_identity():
 
 
 def test_additive_regret_improper_is_constant():
-    spec = ProblemSpec(horizon=2.0, t_start=0.5)
-    assert additive_regret(0.0, IMPROPER, spec) == additive_regret(7.0, IMPROPER, spec)
+    form = regret_form(IMPROPER, ProblemSpec(horizon=2.0, t_start=0.5), additive=True)
+    assert form(0.0) == form(7.0)
 
 
 def test_additive_regret_finite_sigma_formula():
@@ -241,12 +241,13 @@ def test_additive_regret_finite_sigma_formula():
     f0, f_sharp = perf_coeffs(0.5, prior, spec)
     e_sharp = gains(0.5, spec).e_sharp
     p = prior.precision
+    form = regret_form(prior, spec, additive=True)
     expected = f0 * 0.5 / (0.5 + p) ** 2 + f_sharp - e_sharp
-    assert additive_regret(0.0, prior, spec) == pytest.approx(expected, rel=1e-12)
+    assert form(0.0) == pytest.approx(expected, rel=1e-12)
     # a^2 p^2 overflows at a = 1e154, the regret (about a^2 f0 p^2/(t0+p)^2) does not
     a = 1e154
     expected = f0 * (p / (0.5 + p)) ** 2 * (a * a)
-    assert additive_regret(a, prior, spec) == pytest.approx(expected, rel=1e-12)
+    assert form(a) == pytest.approx(expected, rel=1e-12)
 
 
 def test_additive_regret_without_cancellation():
@@ -259,7 +260,7 @@ def test_additive_regret_without_cancellation():
         f0 = (t + p) ** 2 * mpmath.quad(f, [t, T])
         f_sharp_minus_e_sharp = mpmath.quad(lambda tau: (tau - t) * f(tau), [t, T])
         ref = f0 * (t + a * a * p * p) / (t + p) ** 2 + f_sharp_minus_e_sharp
-    got = additive_regret(a, GaussianPrior(sigma), ProblemSpec(horizon=T, t_start=t0))
+    got = regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T, t_start=t0), additive=True)(a)
     assert abs(got - ref) <= 1e-12 * ref
 
 
@@ -268,20 +269,21 @@ def test_additive_form_limit():
     spec = ProblemSpec(horizon=2.0, t_start=0.5)
     assert regret_form(GaussianPrior(1.3), spec, additive=True).sup == math.inf
     form = regret_form(IMPROPER, spec, additive=True)
-    assert form.limit == form.sup == additive_regret(3.0, IMPROPER, spec)
+    assert form.limit == form.sup == form(3.0)
 
 
 def test_additive_regret_nonnegative_on_grid():
     spec = ProblemSpec(horizon=2.0, t_start=0.5)
     for prior in (GaussianPrior(1.0), IMPROPER):
+        form = regret_form(prior, spec, additive=True)
         for a in np.linspace(-10, 10, 21):
-            assert additive_regret(a, prior, spec) >= 0.0
+            assert form(a) >= 0.0
 
 
 def test_additive_regret_requires_observation_phase():
     spec = ProblemSpec(horizon=2.0)
     with pytest.raises(DomainError):
-        additive_regret(0.0, IMPROPER, spec)
+        regret_form(IMPROPER, spec, additive=True)
 
 
 def test_multiplicative_regret_endpoints():
@@ -289,25 +291,25 @@ def test_multiplicative_regret_endpoints():
     prior = GaussianPrior(1.0)
     g = gains(0.0, spec)
     f0, f_sharp = perf_coeffs(0.0, prior, spec)
-    assert multiplicative_regret(0.0, prior, spec) == pytest.approx(f_sharp / g.e_sharp)
-    assert multiplicative_regret_limit(prior, spec) == pytest.approx((g.e0 + f0) / g.e0)
+    form = regret_form(prior, spec)
+    assert form(0.0) == pytest.approx(f_sharp / g.e_sharp)
+    assert form.limit == pytest.approx((g.e0 + f0) / g.e0)
 
 
 def test_multiplicative_regret_at_least_one():
     spec = ProblemSpec(horizon=1.0)
-    prior = GaussianPrior(1.0)
+    form = regret_form(GaussianPrior(1.0), spec)
     for a in np.linspace(-10, 10, 41):
-        assert multiplicative_regret(a, prior, spec) >= 1.0
-    assert multiplicative_regret_limit(prior, spec) >= 1.0
+        assert form(a) >= 1.0
+    assert form.limit >= 1.0
 
 
 def test_fueltax_reduces_to_mr_at_lambda_one():
     spec = ProblemSpec(horizon=2.0)
     prior = GaussianPrior(1.5)
+    form = regret_form(prior, spec)
     for a in (0.0, 0.5, 2.0):
-        assert fueltax_ratio(a, prior, 1.0, spec) == pytest.approx(
-            multiplicative_regret(a, prior, spec), rel=1e-12
-        )
+        assert fueltax_ratio(a, prior, 1.0, spec) == pytest.approx(form(a), rel=1e-12)
 
 
 def test_fueltax_at_zero_drift():
@@ -336,7 +338,7 @@ _DRIFT = st.floats(-20.0, 20.0)
 @given(a=_DRIFT, log_sigma=_LOG_SIGMA, T=_HORIZON)
 def test_multiplicative_regret_at_least_one_property(a, log_sigma, T):
     prior, spec = GaussianPrior(10.0 ** log_sigma), ProblemSpec(horizon=T)
-    assert multiplicative_regret(a, prior, spec) >= 1.0
+    assert regret_form(prior, spec)(a) >= 1.0
     assert fueltax_ratio(a, prior, 1.0, spec) >= 1.0
 
 
@@ -345,7 +347,7 @@ def test_multiplicative_regret_at_least_one_property(a, log_sigma, T):
        frac=st.floats(0.01, 0.99))
 def test_additive_regret_nonnegative_property(a, log_sigma, T, frac):
     prior = GaussianPrior(10.0 ** log_sigma)
-    assert additive_regret(a, prior, ProblemSpec(horizon=T, t_start=frac * T)) >= 0.0
+    assert regret_form(prior, ProblemSpec(horizon=T, t_start=frac * T), additive=True)(a) >= 0.0
 
 
 @_PROPERTY
@@ -353,16 +355,16 @@ def test_additive_regret_nonnegative_property(a, log_sigma, T, frac):
        frac=st.one_of(st.just(0.0), st.floats(0.01, 0.99)), lam=st.floats(1.0, 10.0))
 def test_regret_form_matches_the_cost_ratio_property(a, log_sigma, T, frac, lam):
     # the form's r(a) against the ratio of the two expected costs, each from its
-    # own function: bayes_cost from (0, 0) when t0 = 0, opponent_cost plus
-    # additive_regret when t0 > 0; the opponent's value function is quadratic in
-    # q(t0) ~ N(a t0, t0), so the two-point rule q = a t0 +- sqrt(t0) is exact
+    # own function: bayes_cost for ours, value_known_a for the opponent's.  Before
+    # control starts xi = q, and both are quadratic in q(t0) ~ N(a t0, t0), so the
+    # two-point rule q = a t0 +- sqrt(t0) is exact (q = 0 when t0 = 0)
     prior = GaussianPrior(10.0 ** log_sigma)
     assume(frac > 0.0 or not prior.is_improper)
     spec = ProblemSpec(horizon=T, t_start=frac * T)
     t0, taxed = spec.t_start, spec.with_fuel_weight(lam)
-    opp = 0.5 * sum(value_known_a(a * t0 + s * math.sqrt(t0), t0, a, taxed) for s in (1.0, -1.0))
-    ours = (bayes_cost(0.0, 0.0, 0.0, a, prior, spec) if t0 == 0.0
-            else opponent_cost(a, spec) + additive_regret(a, prior, spec))
+    points = [a * t0 + s * math.sqrt(t0) for s in (1.0, -1.0)]
+    opp = 0.5 * sum(value_known_a(q, t0, a, taxed) for q in points)
+    ours = 0.5 * sum(bayes_cost(q, q, t0, a, prior, spec) for q in points)
     form = regret_form(prior, spec, lam)
     assert form(a) == pytest.approx(ours / opp, rel=1e-12, abs=0.0)
     # monotone in a^2: every drift lies between r(0) and the limit
@@ -373,9 +375,16 @@ def test_regret_form_matches_the_cost_ratio_property(a, log_sigma, T, frac, lam)
 
 
 def test_opponent_cost_reduces_to_value_at_zero_start():
-    spec = ProblemSpec(horizon=2.0)
-    for a in (0.0, 1.0, -3.0):
-        assert opponent_cost(a, spec) == pytest.approx(value_known_a(0.0, 0.0, a, spec))
+    # the informed opponent's cost is the known-a strategy's analytic cost: from
+    # rest the value at (0, 0), and at any t0 the ratio form's denominator
+    for t0 in (0.0, 0.5):
+        spec = ProblemSpec(horizon=2.0, t_start=t0)
+        form = regret_form(GaussianPrior(1.0), spec)
+        for a in (0.0, 1.0, -3.0):
+            cost = analytic_cost(make_strategy("known_a", a=a), SimConfig(spec, a_true=a, dt=0.1))
+            assert cost == pytest.approx(form.gamma + form.delta * a * a, rel=1e-14)
+            if t0 == 0.0:
+                assert cost == pytest.approx(value_known_a(0.0, 0.0, a, spec))
 
 
 def _f0_and_tail_reference(t, prior, spec):

@@ -18,8 +18,8 @@ from agnostic_control import (
     control_known_a,
     make_strategy,
     monte_carlo_cost,
-    opponent_cost,
     posterior,
+    regret_form,
     simulate_path,
     value_known_a,
 )
@@ -230,25 +230,38 @@ def test_analytic_cost_zero_control():
     assert analytic_cost(make_strategy("zero_control"), cfg) == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("variant, t_start", [("bayes", 0.0), ("bayes", 0.5), ("bayes_improper", 0.5)])
+def test_analytic_cost_bayes_is_the_expected_cost_to_go(variant, t_start):
+    # before control starts xi = q, and bayes_cost is quadratic in q(t0) ~ N(a t0, t0),
+    # so the two-point rule q = a t0 +- sqrt(t0) gives its expectation exactly
+    a = -1.3
+    cfg = small_config(spec=ProblemSpec(horizon=2.0, t_start=t_start), a_true=a)
+    strategy = make_strategy(variant, sigma=0.8)
+    points = [a * t_start + s * math.sqrt(t_start) for s in (1.0, -1.0)]
+    expected = 0.5 * sum(bayes_cost(q, q, t_start, a, strategy.prior, cfg.spec) for q in points)
+    assert analytic_cost(strategy, cfg) == pytest.approx(expected, rel=1e-13)
+
+
 def test_empirical_regret_self_comparison():
     # the Monte Carlo cost against the informed opponent's exact cost: the
     # additive regret within 3 standard errors of 0, the ratio of 1
     cfg = small_config(dt=1e-3, n_paths=3000)
-    est = monte_carlo_cost(make_strategy("known_a", a=0.0), cfg)
-    opp = opponent_cost(0.0, cfg.spec)
+    known = make_strategy("known_a", a=0.0)
+    est = monte_carlo_cost(known, cfg)
+    opp = analytic_cost(known, cfg)
     assert abs(est.mean - opp) <= 3 * est.stderr
     assert est.mean / opp == pytest.approx(1.0, abs=3 * est.stderr / opp)
 
 
 def test_empirical_regret_matches_analytic_mr():
-    from agnostic_control import multiplicative_regret
-
     prior = GaussianPrior(1.0)
     cfg = small_config(dt=1e-3, n_paths=4000)
+    form = regret_form(prior, cfg.spec)
     for a in (0.0, 1.0):
-        est = monte_carlo_cost(make_strategy("bayes", sigma=prior.sigma), replace(cfg, a_true=a))
-        opp = opponent_cost(a, cfg.spec)
-        mr = multiplicative_regret(a, prior, cfg.spec)
+        cfg_a = replace(cfg, a_true=a)
+        est = monte_carlo_cost(make_strategy("bayes", sigma=prior.sigma), cfg_a)
+        opp = analytic_cost(make_strategy("known_a", a=a), cfg_a)
+        mr = form(a)
         assert abs(est.mean / opp - mr) <= 3 * est.stderr / opp
 
 

@@ -16,8 +16,6 @@ from agnostic_control import (
     certify_constant_mr,
     find_root,
     gains,
-    multiplicative_regret,
-    multiplicative_regret_limit,
     perf_coeffs,
     regret_form,
     solve_fueltax,
@@ -277,7 +275,8 @@ def test_worst_case_mr_fixed_sigma_dominates_optimal():
         assert worst >= worst_case_mr(T) - 1e-12
         # the two-point supremum bounds the ratio on the drift grid
         spec = ProblemSpec(horizon=T)
-        on_grid = max(multiplicative_regret(a, GaussianPrior(sigma_fixed), spec) for a in A_GRID_DEFAULT)
+        form = regret_form(GaussianPrior(sigma_fixed), spec)
+        on_grid = max(form(a) for a in A_GRID_DEFAULT)
         assert worst >= on_grid - 1e-15
 
 
@@ -351,9 +350,9 @@ def test_minimax_spot_check():
     a_grid = (0.0, 0.5, 1.0, 2.0, 5.0, 10.0)
 
     for factor in (0.9, 1.1, 0.7, 1.3):
-        prior = GaussianPrior(sigma_star * factor)
-        sup = max(multiplicative_regret(a, prior, spec) for a in a_grid)
-        sup = max(sup, multiplicative_regret_limit(prior, spec))
+        form = regret_form(GaussianPrior(sigma_star * factor), spec)
+        sup = max(form(a) for a in a_grid)
+        sup = max(sup, form.limit)
         assert sup >= mr_star - 1e-8
 
     spec_obs = ProblemSpec(horizon=T, t_start=0.1)
