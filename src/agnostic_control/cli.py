@@ -9,8 +9,10 @@ Subcommands:
 
 Every number printed is produced by a library call; the CLI only parses
 flags and serializes results.  Floats are serialized with 17 significant
-digits so output round-trips exactly.  Exit codes: 0 success, 2 usage or
-domain error, 3 budget exceeded, 4 solver or quadrature failure.
+digits so output round-trips exactly, and every file is written by _write,
+with lines ending in "\n".  Exit codes: 0 success, 2 usage or domain error
+(an output path that cannot be written included), 3 budget exceeded, 4
+solver or quadrature failure.
 
 main(argv) runs one command in-process and returns its exit code.  It
 builds the argument parser on its first call and reuses it for every later
@@ -21,6 +23,7 @@ one in the process: argparse keeps no state between parses, and --help,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import functools
 import json
@@ -35,14 +38,7 @@ from .bayes import GaussianPrior
 from .errors import BudgetError, DomainError, NoRootError, NonFiniteError, QuadratureError
 from .model import ProblemSpec, gains
 from .performance import A_GRID_DEFAULT, regret_form
-from .simulate import (
-    SimConfig,
-    analytic_cost,
-    dump_trajectory,
-    make_strategy,
-    monte_carlo_cost,
-    simulate_path,
-)
+from .simulate import SimConfig, analytic_cost, make_strategy, monte_carlo_cost, simulate_path
 from .solvers import T_GRID_DEFAULT, solve_fueltax, solve_sigma_mr, sweep, worst_case_mr
 
 EXIT_OK = 0
@@ -78,15 +74,34 @@ def _to_json(obj, indent: int = 0) -> str:
     return pad + json.dumps(obj)
 
 
-def _write_manifest(path: str, subcommand: str, params: dict) -> None:
+def _csv(header, rows) -> str:
+    """CSV text, a header line then one line a row, every cell through _fmt."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError on path as a DomainError: exit 2, one line, no traceback."""
+    try:
+        yield
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _write(path: str, text: str) -> None:
+    with _writing(path), open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
+def _write_manifest(stem: str, subcommand: str, params: dict) -> None:
+    """Write stem + '.manifest.json', the sidecar of the run's output."""
     manifest = {
         "subcommand": subcommand,
         "parameters": params,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with open(path, "w", newline="\n") as fh:
-        fh.write(_to_json(manifest) + "\n")
+    _write(stem + ".manifest.json", _to_json(manifest) + "\n")
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -141,7 +156,7 @@ def _cmd_gains(args) -> int:
 #: each the key of a sweep record (figure 2 adds its fixed-sigma column).
 _FIGURES = {
     1: ("sigma_mr", ("T", "sigma_star")),
-    2: ("mr_star", ("T", "mr_star_optimal", "mr_star_fixed_sigma")),
+    2: ("sigma_mr", ("T", "mr_star_optimal", "mr_star_fixed_sigma")),
     3: ("fueltax", ("T", "sigma_ft", "lambda_star")),
 }
 
@@ -151,16 +166,16 @@ def _cmd_figures(args) -> int:
     grid = _parse_grid(args.grid)
     records = sweep(quantity, grid).records
     # only once sweep has accepted the grid, so that a rejected call writes nothing
-    os.makedirs(args.out, exist_ok=True)
-    solved = [rec for rec in records if "error" not in rec]
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
+    # a point that failed or did not converge gets a warning and empty cells
+    solved = [rec for rec in records if rec.get("converged")]
     for rec in records:
-        if "error" in rec:
-            print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
+        if not rec.get("converged"):
+            why = rec.get("error", "the solve did not converge")
+            print(f"warning: T={rec['T']}: {why}", file=sys.stderr)
 
-    if args.which == 2:
-        if not solved:
-            print("error: every sweep point failed", file=sys.stderr)
-            return EXIT_SOLVER
+    if args.which == 2 and solved:
         peak = max(solved, key=lambda r: r["mr_star_optimal"])
         sigma_fixed = peak["sigma_star"]
         for rec in solved:
@@ -169,16 +184,11 @@ def _cmd_figures(args) -> int:
                 peak["form"].sup if rec is peak else worst_case_mr(rec["T"], sigma=sigma_fixed)
             )
 
-    out = os.path.join(args.out, f"fig{args.which}.csv")
-    with open(out, "w", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(rec[c]) if c in rec else "" for c in columns) + "\n")
-    _write_manifest(
-        out.replace(".csv", ".manifest.json"),
-        "figures",
-        {"which": args.which, "grid": grid},
-    )
+    stem = os.path.join(args.out, f"fig{args.which}")
+    rows = [[rec["T"], *(rec[c] if rec.get("converged") else "" for c in columns[1:])]
+            for rec in records]
+    _write(stem + ".csv", _csv(columns, rows))
+    _write_manifest(stem, "figures", {"which": args.which, "grid": grid})
     failures = len(records) - len(solved)
     if failures > 0.1 * len(grid):
         print(f"error: {failures}/{len(grid)} sweep points failed", file=sys.stderr)
@@ -218,21 +228,17 @@ def _cmd_simulate(args) -> int:
     text = _to_json(result)
     print(text)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "result.json"), "w", newline="\n") as fh:
-            fh.write(text + "\n")
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
+        _write(os.path.join(args.out, "result.json"), text + "\n")
         for i in range(args.dump_paths):
-            traj, _ = simulate_path(strategy, config, path_index=i)
-            dump_trajectory(os.path.join(args.out, f"path_{i:05d}.csv"), traj)
-        _write_manifest(
-            os.path.join(args.out, "result.manifest.json"),
-            "simulate",
-            {
-                "strategy": strategy.describe(),
-                "a": args.a, "T": args.T, "T0": args.T0, "dt": args.dt,
-                "paths": args.paths, "seed": args.seed, "dump_paths": args.dump_paths,
-            },
-        )
+            rows = simulate_path(strategy, config, path_index=i)[0].tolist()
+            _write(os.path.join(args.out, f"path_{i:05d}.csv"), _csv(("t", "q", "xi", "u"), rows))
+        _write_manifest(os.path.join(args.out, "result"), "simulate", {
+            "strategy": strategy.describe(),
+            "a": args.a, "T": args.T, "T0": args.T0, "dt": args.dt,
+            "paths": args.paths, "seed": args.seed, "dump_paths": args.dump_paths,
+        })
     return EXIT_OK
 
 
@@ -257,6 +263,9 @@ def _cmd_regret(args) -> int:
         spec = ProblemSpec(horizon=args.T)
         if args.T0 != 0.0:
             raise DomainError("multiplicative regret requires --T0 0")
+        if args.sigma == "improper":
+            raise DomainError("the improper prior has no multiplicative regret from t = 0: "
+                              "F# diverges")
         if args.sigma == "auto":
             sr = solve_sigma_mr(args.T)
             if not sr.converged:
@@ -290,14 +299,9 @@ def _cmd_regret(args) -> int:
     text = _to_json(result)
     print(text)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text + "\n")
-        _write_manifest(
-            args.out + ".manifest.json",
-            "regret",
-            {"mode": args.mode, "T": args.T, "T0": args.T0,
-             "sigma": args.sigma, "a_grid": a_grid},
-        )
+        _write(args.out, text + "\n")
+        _write_manifest(args.out, "regret", {"mode": args.mode, "T": args.T, "T0": args.T0,
+                                             "sigma": args.sigma, "a_grid": a_grid})
     return EXIT_OK
 
 

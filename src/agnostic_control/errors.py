@@ -22,4 +22,5 @@ class BudgetError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """A simulated state became NaN or infinite; indicates a bug."""
+    """A simulated state or cost became NaN or infinite: the drift or the
+    horizon is too large for q^2 and u^2 to stay finite in floating point."""

@@ -34,7 +34,6 @@ run.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -353,11 +352,3 @@ def analytic_cost(strategy: Strategy, config: SimConfig) -> float:
     form = regret_form(strategy.prior, spec)
     return form.beta * (a * a) + form.alpha
 
-
-def dump_trajectory(path, trajectory: np.ndarray) -> None:
-    """Write one trajectory as CSV with header t,q,xi,u."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "q", "xi", "u"])
-        for row in trajectory:
-            writer.writerow([format(v, ".17g") for v in row])

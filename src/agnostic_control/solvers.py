@@ -76,9 +76,9 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Per-horizon solved quantities; failed points carry an 'error' entry."""
+    """Per-horizon solved quantities, each record's 'T' in grid order; failed
+    points carry an 'error' entry."""
 
-    grid: tuple[float, ...]
     records: tuple[dict, ...]
 
 
@@ -367,10 +367,9 @@ def _solve_point(quantity: str, T: float, guess) -> tuple[dict, SolveResult]:
         return {"T": T, "lambda_star": lam_r.root, "sigma_ft": sig_r.root,
                 "converged": lam_r.converged and sig_r.converged}, sig_r
     sr = solve_sigma_mr(T, guess=guess)
-    rec = {"T": T, "sigma_star": sr.root, "converged": sr.converged}
-    if quantity == "mr_star":  # the form lets figure 2 reuse sigma* without a quadrature
-        rec.update(mr_star_optimal=sr.form(0.0), form=sr.form)
-    return rec, sr
+    # the form lets figure 2 reuse sigma* without a quadrature
+    return {"T": T, "sigma_star": sr.root, "mr_star_optimal": sr.form(0.0), "form": sr.form,
+            "converged": sr.converged}, sr
 
 
 def sweep(quantity: str, t_grid) -> SweepTable:
@@ -384,7 +383,7 @@ def sweep(quantity: str, t_grid) -> SweepTable:
     does when none has converged yet or when the guess fails; either way it
     integrates F0/F# once for each sigma it tries.
     """
-    if quantity not in ("sigma_mr", "mr_star", "fueltax"):
+    if quantity not in ("sigma_mr", "fueltax"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")
     grid = tuple(float(t) for t in t_grid)
     if not grid:
@@ -406,4 +405,4 @@ def sweep(quantity: str, t_grid) -> SweepTable:
             roots.append((log_T, math.log(sr.root)))
             slope = sr.slope
         records.append(rec)
-    return SweepTable(grid=grid, records=tuple(records))
+    return SweepTable(records=tuple(records))

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from agnostic_control import ProblemSpec, __version__, gains, cli
+from agnostic_control import (
+    ProblemSpec,
+    SimConfig,
+    __version__,
+    cli,
+    gains,
+    make_strategy,
+    simulate_path,
+)
 from agnostic_control.cli import main
 
 
@@ -91,8 +99,26 @@ def test_figures_2_says_why_every_point_failed(tmp_path, capsys):
     assert err.splitlines() == [
         "warning: T=1e-08: NoRootError: no sign change over scan [0.001, 1000.0]",
         "warning: T=1e-07: NoRootError: no sign change over scan [0.001, 1000.0]",
-        "error: every sweep point failed",
+        "error: 2/2 sweep points failed",
     ]
+    lines = (tmp_path / "fig2.csv").read_text().splitlines()
+    assert lines[0] == "T,mr_star_optimal,mr_star_fixed_sigma"
+    assert [line.split(",")[1:] for line in lines[1:]] == [["", ""], ["", ""]]
+
+
+def test_figures_leave_an_unconverged_point_empty(tmp_path, capsys):
+    # at T = 1e-3 the fuel-tax solve returns a lambda* without converging
+    code, _, err = run_cli(
+        capsys, "figures", "--which", "3", "--grid", "1e-3,2", "--out", str(tmp_path)
+    )
+    assert code == 4
+    assert err.splitlines() == [
+        "warning: T=0.001: the solve did not converge",
+        "error: 1/2 sweep points failed",
+    ]
+    lines = (tmp_path / "fig3.csv").read_text().splitlines()
+    assert lines[1] == "0.001,,"
+    assert all(lines[2].split(","))
 
 
 def test_simulate_known_a(capsys):
@@ -156,6 +182,49 @@ def test_simulate_dumps_paths(tmp_path, capsys):
     lines = (tmp_path / "path_00000.csv").read_text().splitlines()
     assert lines[0] == "t,q,xi,u"
     assert len(lines) == 11
+
+
+def test_dump_trajectory(tmp_path, capsys):
+    cfg = SimConfig(spec=ProblemSpec(horizon=1.0), a_true=0.0, dt=1e-2, n_paths=1, seed=0)
+    traj, _ = simulate_path(make_strategy("zero_control"), cfg)
+    code, _, _ = run_cli(
+        capsys,
+        "simulate", "--strategy", "zero_control", "--T", "1", "--dt", "0.01",
+        "--paths", "1", "--out", str(tmp_path), "--dump-paths", "1",
+    )
+    assert code == 0
+    text = (tmp_path / "path_00000.csv").read_bytes().decode()
+    assert "\r" not in text
+    lines = text.splitlines()
+    assert lines[0] == "t,q,xi,u"
+    assert len(lines) == cfg.n_steps + 1
+    first = [float(x) for x in lines[1].split(",")]
+    assert first == pytest.approx(list(traj[0]))
+
+
+#: (argv, the path the error names); OUT is a directory, FILE a file in it
+_UNWRITABLE = [
+    (["figures", "--which", "1", "--grid", "1", "--out", "FILE"], "FILE"),
+    (["simulate", "--strategy", "zero_control", "--T", "1", "--dt", "0.1", "--paths", "2",
+      "--out", "FILE"], "FILE"),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--out", "OUT"], "OUT"),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--out", "OUT/missing/x.json"],
+     "OUT/missing/x.json"),
+]
+
+
+@pytest.mark.parametrize("argv, path", _UNWRITABLE, ids=["figures", "simulate", "regret-dir",
+                                                         "regret-missing"])
+def test_unwritable_output_exit_2_without_traceback(tmp_path, capsys, argv, path):
+    def place(a):
+        return a.replace("FILE", str(tmp_path / "file")).replace("OUT", str(tmp_path))
+
+    (tmp_path / "file").write_text("")
+    code, _, err = run_cli(capsys, *map(place, argv))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {place(path)}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]  # no directory made
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,6 +383,8 @@ _BAD_INPUT = [
      _SIGMA_UNDERFLOWS),
     (["regret", "--mode", "additive", "--T", "2", "--T0", "0.5", "--sigma", "improper", "--a-grid", ""],
      "--a-grid must be comma-separated numbers, got ''"),
+    (["regret", "--mode", "multiplicative", "--T", "2", "--sigma", "improper"],
+     "error: the improper prior has no multiplicative regret from t = 0: F# diverges"),
 ]
 
 

@@ -24,7 +24,7 @@ from agnostic_control import (
     value_known_a,
 )
 from agnostic_control import model, simulate
-from agnostic_control.simulate import analytic_cost, dump_trajectory, path_noise
+from agnostic_control.simulate import analytic_cost, path_noise
 
 
 def small_config(**kw):
@@ -263,19 +263,6 @@ def test_empirical_regret_matches_analytic_mr():
         opp = analytic_cost(make_strategy("known_a", a=a), cfg_a)
         mr = form(a)
         assert abs(est.mean / opp - mr) <= 3 * est.stderr / opp
-
-
-
-def test_dump_trajectory(tmp_path):
-    cfg = small_config(n_paths=1)
-    traj, _ = simulate_path(make_strategy("zero_control"), cfg)
-    out = tmp_path / "path.csv"
-    dump_trajectory(out, traj)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,q,xi,u"
-    assert len(lines) == cfg.n_steps + 1
-    first = [float(x) for x in lines[1].split(",")]
-    assert first == pytest.approx(list(traj[0]))
 
 
 def _per_step_reference(strategy, cfg, noise):
