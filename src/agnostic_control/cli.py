@@ -54,24 +54,20 @@ def _fmt(v) -> str:
 
 
 def _to_json(obj, indent: int = 0) -> str:
-    """JSON serializer with fixed 17-significant-digit floats."""
-    pad = " " * indent
+    """JSON serializer with fixed 17-significant-digit floats, non-finite ones
+    as strings.  A dict's lines are indented by indent plus two, its closing
+    brace by indent; a list stays on one line."""
     if isinstance(obj, dict):
+        pad = " " * indent
         items = ",\n".join(
-            f'{pad}  {json.dumps(k)}: {_to_json(v, indent + 2).lstrip()}'
-            for k, v in obj.items()
+            f"{pad}  {json.dumps(k)}: {_to_json(v, indent + 2)}" for k, v in obj.items()
         )
-        return f"{pad}{{\n{items}\n{pad}}}"
+        return f"{{\n{items}\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        items = ", ".join(_to_json(v).lstrip() for v in obj)
-        return f"{pad}[{items}]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            return pad + json.dumps(str(obj))
-        return pad + _fmt(obj)
-    return pad + json.dumps(obj)
+        return "[" + ", ".join(map(_to_json, obj)) + "]"
+    if isinstance(obj, float) and math.isfinite(obj):
+        return _fmt(obj)
+    return json.dumps(str(obj) if isinstance(obj, float) else obj)
 
 
 def _csv(header, rows) -> str:
@@ -365,15 +361,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except BudgetError as exc:
+    except (BudgetError, DomainError, NoRootError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (NoRootError, QuadratureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if isinstance(exc, DomainError):  # SingularityError included
+            return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_SOLVER
 
 
 if __name__ == "__main__":

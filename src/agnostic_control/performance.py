@@ -237,9 +237,12 @@ def regret_form(
     ProblemSpec), or with additive=True our cost minus the untaxed opponent's.
     q(t0) ~ N(a t0, t0) and E (a_bar - a)^2 = (t0 + a^2 p^2)/(t0 + p)^2 give the
     coefficients.  coeffs is (F0, F#) at t0 for a ratio form when the caller
-    holds it already; the additive form takes F# - e# from the quadrature's tail."""
+    holds it already; the additive form takes F# - e# from the quadrature's tail,
+    against the untaxed opponent, so it takes neither lambda_opp nor coeffs."""
     t0 = spec.t_start
     if additive:
+        if lambda_opp != 1.0 or coeffs is not None:
+            raise DomainError("additive regret takes neither lambda_opp nor coeffs")
         if t0 <= 0.0:
             raise DomainError("additive regret requires t_start > 0 (it diverges at 0)")
         f0, tail = _f0_and_tail(t0, prior, spec)  # tail = F# - e# at t0

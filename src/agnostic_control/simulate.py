@@ -35,6 +35,7 @@ run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +63,13 @@ class SimConfig:
         # written as `not ...` so that NaN fails every check
         if not (self.dt > 0.0 and math.isfinite(self.spec.horizon / self.dt)):
             raise DomainError(f"dt must be positive with a finite step count, got {self.dt}")
+        if not isinstance(self.n_paths, numbers.Integral):
+            raise DomainError(f"n_paths must be an integer, got {self.n_paths!r}")
         if not self.n_paths >= 1:
             raise DomainError(f"n_paths must be >= 1, got {self.n_paths}")
         if not math.isfinite(self.a_true):
             raise DomainError(f"a_true must be finite, got {self.a_true}")
-        if not 0 <= self.seed < 2 ** 64:  # the first word of every path's Philox key
-            raise DomainError(f"seed must be in [0, 2**64), got {self.seed}")
+        _check_philox_word("seed", self.seed)  # the first word of every path's Philox key
         horizon, t_start = self.spec.horizon, self.spec.t_start
         tol = 1e-9 * max(1.0, horizon)
         if self.n_steps < 1 or abs(self.n_steps * self.dt - horizon) > tol:
@@ -160,6 +162,14 @@ def make_strategy(
     if variant == "bayes_improper":
         return Strategy(variant, prior=GaussianPrior.improper())
     raise DomainError(f"unknown strategy variant {variant!r}")
+
+
+def _check_philox_word(name: str, value) -> None:
+    """DomainError unless value, a word of a path's Philox key, is an integer in [0, 2**64)."""
+    if not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if not 0 <= value < 2 ** 64:
+        raise DomainError(f"{name} must be in [0, 2**64), got {value}")
 
 
 def _fill_noise(out: np.ndarray, seed: int, first: int) -> None:
@@ -259,6 +269,7 @@ def simulate_path(
     A caller-supplied noise array (n_steps standard normals, e.g. all zeros)
     replaces the path's random stream.
     """
+    _check_philox_word("path_index", path_index)  # the second word of its Philox key
     strategy.check_config(config)
     _check_budget(config, n_paths=1)
     if noise is None:

@@ -9,13 +9,14 @@ ratios to equal 1 against an opponent taxed at lambda: the a=0 condition
 gives lambda(sigma) in closed form, so solve_fueltax is again one root in
 sigma.  A solve integrates F0/F# once for each sigma it tries.
 
-Both solves use one search, find_root, over a log-spaced scan of sigma.  When
-the residual differs in sign at the scan's two ends, bisecting the scan's
-indices finds the adjacent pair around the sign change in about log2 of the
-scan's length evaluations; when the ends agree, the scan is walked from the
-start for the first change.  The Illinois method (Dowell & Jarratt, BIT 11,
-1971), a regula falsi in log sigma that halves the value of an end kept
-twice in a row, then narrows that pair until |residual| <= F_TOL.
+Both solves use one search, find_root, over a log-spaced scan of sigma.  The
+scan bisects or refuses: when the residual differs in sign at the scan's two
+ends, bisecting the scan's indices finds the adjacent pair around a sign
+change in about log2 of the scan's length evaluations; when the ends agree,
+find_root raises NoRootError, since neither residual changes sign more than
+once over the scan.  The Illinois method (Dowell & Jarratt, BIT 11, 1971), a
+regula falsi in log sigma that halves the value of an end kept twice in a
+row, then narrows that pair until |residual| <= F_TOL.
 
 A sweep continues along the curve it solves (Allgower & Georg, Numerical
 Continuation Methods, 1990), as a predictor-corrector: sigma moves smoothly
@@ -83,10 +84,10 @@ class SweepTable:
 
 
 def _scan_bracket(f: Callable[[float], float], xs) -> tuple[float, float, float, float]:
-    """(a, f(a), b, f(b)) for the adjacent pair of xs around a sign change of f:
-    the pair bisection over the indices of xs closes on when f differs in sign
-    at the ends of xs, the first sign change of a walk from the start when
-    they agree (NoRootError, with the (x, f(x)) pairs as .scan, if there is none)."""
+    """(a, f(a), b, f(b)): the adjacent pair of xs around a sign change of f
+    that bisecting the indices of xs closes on when f differs in sign at the
+    ends of xs.  When the ends agree it refuses with NoRootError, .scan holding
+    every (x, f(x)) pair, the points between the ends evaluated in index order."""
     xs = [float(x) for x in xs]
     values: dict[int, float] = {}
 
@@ -96,20 +97,16 @@ def _scan_bracket(f: Callable[[float], float], xs) -> tuple[float, float, float,
         return math.copysign(1.0, values[i])
 
     lo, hi = 0, len(xs) - 1
-    if sign(lo) != sign(hi):
-        while hi - lo > 1:
-            m = (lo + hi) // 2
-            if sign(m) == sign(lo):
-                lo = m
-            else:
-                hi = m
-    else:
-        lo = next((i for i in range(hi) if sign(i) != sign(i + 1)), None)
-        if lo is None:
-            err = NoRootError(f"no sign change over scan [{xs[0]}, {xs[-1]}]")
-            err.scan = [(x, values[i]) for i, x in enumerate(xs)]
-            raise err
-        hi = lo + 1
+    if sign(lo) == sign(hi):
+        err = NoRootError(f"no sign change over scan [{xs[0]}, {xs[-1]}]")
+        err.scan = [(x, values[i] if i in values else f(x)) for i, x in enumerate(xs)]
+        raise err
+    while hi - lo > 1:
+        m = (lo + hi) // 2
+        if sign(m) == sign(lo):
+            lo = m
+        else:
+            hi = m
     return xs[lo], values[lo], xs[hi], values[hi]
 
 
@@ -144,7 +141,8 @@ def _from_guess(f: Callable[[float], float], xs, x: float, slope: float) -> Solv
 
 def find_root(f: Callable[[float], float], xs, *, guess=None) -> SolveResult:
     """Root of f in a sign change over the positive, increasing xs
-    (NoRootError, with the (x, f(x)) pairs as .scan, if there is none).
+    (NoRootError, with the (x, f(x)) pairs as .scan, when f has one sign at
+    both ends of xs).
 
     guess, a pair (x, df/dlog x), starts a secant solve at x (_from_guess);
     the scan runs only when that fails, and then exactly as without a guess.
@@ -153,9 +151,11 @@ def find_root(f: Callable[[float], float], xs, *, guess=None) -> SolveResult:
     within F_TOL of 0 over all of xs, as the sigma* residual does below
     T = 4e-6, it converges where the scan finds no sign change.
 
-    The scan's bracket is the pair of xs that _scan_bracket finds: the first
-    sign change whenever f changes sign once over xs.  The Illinois method
-    narrows that bracket in u = log x: each step takes the secant point of the
+    The scan's bracket is the pair of xs that _scan_bracket finds around a
+    sign change when f differs in sign at the ends of xs, the only one when f
+    changes sign once; when the ends agree the scan refuses with NoRootError,
+    even if f changes sign twice in between.  The Illinois method narrows
+    that bracket in u = log x: each step takes the secant point of the
     bracket's ends, or their midpoint when that point is not strictly inside,
     and replaces the end whose value has its sign; an end kept twice in a row
     has its stored value halved, which stops a convex f from holding one end

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -12,7 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agnostic_control import (
+    BudgetError,
+    DomainError,
+    NoRootError,
     ProblemSpec,
+    QuadratureError,
+    SingularityError,
     SimConfig,
     __version__,
     cli,
@@ -408,6 +414,27 @@ def test_simulate_one_path_prints_null_stderr(capsys):
     data = json.loads(out)
     assert data["stderr"] is None and data["z_score"] is None
     assert data["n_paths"] == 1
+
+
+def test_to_json_text():
+    # the format of every JSON text acl prints or writes: a dict's lines indented,
+    # a list on one line, floats to 17 digits and non-finite ones as strings
+    obj = {"a": [1.0, None, True, math.nan, math.inf, -0.0, 3], "b": {"c": "x", "d": []}}
+    assert cli._to_json(obj) == (
+        '{\n  "a": [1, null, true, "nan", "inf", -0, 3],\n'
+        '  "b": {\n    "c": "x",\n    "d": []\n  }\n}'
+    )
+
+
+@pytest.mark.parametrize("error, code", [
+    (BudgetError, 3), (DomainError, 2), (SingularityError, 2), (NoRootError, 4), (QuadratureError, 4),
+])
+def test_main_maps_each_error_to_its_exit_code(monkeypatch, capsys, error, code):
+    def fail(*args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "gains", fail)
+    assert run_cli(capsys, "gains", "--T", "1", "--t", "0") == (code, "", "error: boom\n")
 
 
 _EXTREME = ["0", "-1", "5e-324", "1e-200", "1e-8", "0.5", "2", "1e300", "inf", "nan", "x"]

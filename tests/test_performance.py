@@ -286,6 +286,18 @@ def test_additive_regret_requires_observation_phase():
         regret_form(IMPROPER, spec, additive=True)
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((4.0,), {}),  # a taxed opponent
+    ((), {"lambda_opp": 0.5}),  # below 1, which the ratio form rejects too
+    ((), {"coeffs": (123.0, 456.0)}),
+], ids=["lambda_opp-4", "lambda_opp-0.5", "coeffs"])
+def test_additive_regret_rejects_ratio_only_arguments(args, kwargs):
+    # the additive form is against the untaxed opponent, from its own quadrature
+    spec = ProblemSpec(horizon=2.0, t_start=0.5)
+    with pytest.raises(DomainError, match="neither lambda_opp nor coeffs"):
+        regret_form(GaussianPrior(1.0), spec, *args, additive=True, **kwargs)
+
+
 def test_multiplicative_regret_endpoints():
     spec = ProblemSpec(horizon=1.0)
     prior = GaussianPrior(1.0)

@@ -45,9 +45,24 @@ def test_config_validation():
         SimConfig(spec=spec, a_true=0.0, dt=0.3)  # does not divide the horizon
     with pytest.raises(DomainError):  # t_start between grid points
         SimConfig(spec=ProblemSpec(horizon=1.0, t_start=0.55), a_true=0.0, dt=0.1)
-    for seed in (-1, 2 ** 64):  # outside the Philox key word
-        with pytest.raises(DomainError):
+    for seed in (-1, 2 ** 64, 1.5, 1.0, "1", None):  # not an integer Philox key word
+        with pytest.raises(DomainError, match="seed must be"):
             SimConfig(spec=spec, a_true=0.0, seed=seed)
+    for n_paths in (2.5, 1.0, "2", None):  # not an integer, which monte_carlo_cost needs
+        with pytest.raises(DomainError, match="n_paths must be an integer"):
+            SimConfig(spec=spec, a_true=0.0, n_paths=n_paths)
+    SimConfig(spec=spec, a_true=0.0, n_paths=np.int64(2), seed=np.uint64(2 ** 64 - 1))
+
+
+def test_simulate_path_rejects_a_path_index_off_the_philox_key():
+    cfg = small_config(n_paths=1)
+    strategy = make_strategy("zero_control")
+    for path_index in (-1, 2 ** 64, 1.5, 1.0, None):
+        with pytest.raises(DomainError, match="path_index must be"):
+            simulate_path(strategy, cfg, path_index=path_index)
+    # the last key word runs, on its own stream
+    last = simulate_path(strategy, cfg, path_index=np.uint64(2 ** 64 - 1))[0]
+    assert not np.array_equal(last[:, 1], simulate_path(strategy, cfg)[0][:, 1])
 
 
 def test_budget_enforced():

@@ -46,7 +46,7 @@ def test_find_root_requires_sign_change():
     assert exc.value.scan == [(0.5, 1.25), (1.0, 2.0)]
 
 
-def test_find_root_bisects_the_scan_to_the_pair_a_walk_finds():
+def test_find_root_bisects_the_scan_to_the_pair_around_the_sign_change():
     xs = [float(x) for x in solvers._SIGMA_SCAN]
     first = next(i for i in range(len(xs)) if xs[i + 1] > 2.5)
     lo, hi = xs[first], xs[first + 1]
@@ -63,11 +63,19 @@ def test_find_root_bisects_the_scan_to_the_pair_a_walk_finds():
     assert lo <= r.bracket_lo <= r.root <= r.bracket_hi <= hi
 
 
-def test_find_root_walks_when_the_ends_agree_in_sign():
-    # f > 0 at both ends, with sign changes at 1 and 3: the walk takes the first
-    r = find_root(lambda x: (x - 1.0) * (x - 3.0), (0.5, 2.0, 4.0))
-    assert r.converged and r.root == pytest.approx(1.0, rel=1e-9)
-    assert 0.5 <= r.bracket_lo <= r.root <= r.bracket_hi <= 2.0
+def test_find_root_refuses_when_the_ends_agree_in_sign():
+    # f > 0 at both ends, with sign changes at 1 and 3 between them: the scan
+    # refuses, after evaluating the ends, then the point between them
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return (x - 1.0) * (x - 3.0)
+
+    with pytest.raises(NoRootError, match=r"no sign change over scan \[0.5, 4.0\]") as exc:
+        find_root(f, (0.5, 2.0, 4.0))
+    assert exc.value.scan == [(0.5, 1.25), (2.0, -1.0), (4.0, 3.0)]
+    assert seen == [0.5, 4.0, 2.0]
 
 
 def test_find_root_halves_an_end_kept_twice():
@@ -237,17 +245,21 @@ def test_sweep_quadrature_budget(monkeypatch):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(log_T=st.floats(-2.0, 3.0))
+@given(log_T=st.floats(-8.0, 10.0))
 def test_residuals_change_sign_once_over_the_scan(log_T):
-    # what lets find_root bisect the scan: its bracket is then the first sign
-    # change; the secant steps inside it read the values, so they must be finite
+    # what lets find_root bisect the scan or refuse: a residual whose scan ends
+    # agree in sign has no sign change between them, and one whose ends differ
+    # has exactly one; the secant steps inside it read the values, so they must
+    # be finite
     T = 10.0 ** log_T
     coeffs = solvers._coeffs_at_zero(T)
     for resid in (solvers._sigma_mr_residual(T, coeffs), solvers._fueltax_residual(T, coeffs)):
         values = [resid(float(s)) for s in solvers._SIGMA_SCAN]
         assert all(math.isfinite(v) for v in values), T
         signs = [math.copysign(1.0, v) for v in values]
-        assert sum(a != b for a, b in zip(signs, signs[1:])) == 1, T
+        changes = sum(a != b for a, b in zip(signs, signs[1:]))
+        assert changes <= 1, T
+        assert changes == (signs[0] != signs[-1]), T
 
 
 def test_sigma_mr_certified_constant():
