@@ -10,9 +10,10 @@ Subcommands:
 Every number printed is produced by a library call; the CLI only parses
 flags and serializes results.  Floats are serialized with 17 significant
 digits so output round-trips exactly, and every file is written by _write,
-with lines ending in "\n".  Exit codes: 0 success, 2 usage or domain error
-(an output path that cannot be written included), 3 budget exceeded, 4
-solver or quadrature failure.
+with lines ending in "\n".  Exit codes: 0 success, 1 stdout closed by its
+reader (a broken pipe, which prints nothing more), 2 usage or domain error
+(an output path or stdout that cannot be written included), 3 budget
+exceeded, 4 solver or quadrature failure.
 
 main(argv) runs one command in-process and returns its exit code.  It
 builds the argument parser on its first call and reuses it for every later
@@ -42,6 +43,7 @@ from .simulate import SimConfig, analytic_cost, make_strategy, monte_carlo_cost,
 from .solvers import T_GRID_DEFAULT, solve_fueltax, solve_sigma_mr, sweep, worst_case_mr
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_SOLVER = 4
@@ -354,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -366,6 +368,32 @@ def main(argv=None) -> int:
         if isinstance(exc, DomainError):  # SingularityError included
             return EXIT_USAGE
         return EXIT_BUDGET if isinstance(exc, BudgetError) else EXIT_SOLVER
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at devnull, so that the flush at exit
+    writes what is left there (the signal module's "Note on SIGPIPE")."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # a stdout with no file descriptor, as in a capture
+        pass
+
+
+def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        # inside the try, so that a stdout that cannot be written fails here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `acl ... | head -1` does
+        _stdout_to_devnull()
+        return EXIT_PIPE
+    except OSError as exc:  # every file acl opens reports its own (_writing)
+        _stdout_to_devnull()
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

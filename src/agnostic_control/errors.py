@@ -14,7 +14,9 @@ class QuadratureError(RuntimeError):
 
 
 class NoRootError(RuntimeError):
-    """No sign change found, or the root iteration failed to converge."""
+    """No root found, or a solve did not converge.  find_root raises it when its
+    function is not finite at the start or after its last evaluation, with
+    every (x, f(x)) it made as .scan."""
 
 
 class BudgetError(RuntimeError):

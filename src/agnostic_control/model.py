@@ -21,6 +21,16 @@ _FLOAT_MIN = sys.float_info.min  # the smallest normal float
 #: 2n/(2n+1)! for n = 1..7: the Taylor coefficients of (s cosh s - sinh s)/s^3
 #: in powers of s^2.  At s < 0.5 the terms left out add under 1e-17 relative.
 _S_COSH_MINUS_SINH = tuple(2 * n / math.factorial(2 * n + 1) for n in range(1, 8))
+#: Taylor coefficients of cosh(s) exp(-s^2/2) - 1 in powers of s^2, from s^4,
+#: whose log1p is log cosh s - s^2/2.  At s < 0.5 the terms left out add under
+#: 2e-17 relative.
+_COSH_GAUSS = (-1 / 12, 1 / 45, -11 / 3360, 19 / 56700, -311 / 11975040, 719 / 454053600,
+               -14297 / 186810624000, 35369 / 12504636144000, -562273 / 8447576417280000)
+#: 8 (k+1)(k+2)(k+3) / (3 (2k+5)!) for k = 0..8: the Taylor coefficients, all
+#: of one sign, of (s^3/3) cosh s + sinh s - s cosh s in powers of s^2, from
+#: s^5.  At s < 1 the terms left out add under 1e-17 relative.
+_H_NUMERATOR = tuple(8 * (k + 1) * (k + 2) * (k + 3) / (3 * math.factorial(2 * k + 5))
+                     for k in range(9))
 
 
 @dataclass(frozen=True)
@@ -108,6 +118,58 @@ def e0_unit(s: float) -> float:
     s = 0.5 comes from the series of _s_minus_tanh_small (the subtraction
     cancels there; at s >= 0.5 it is within 3e-15 relative)."""
     return s - math.tanh(s) if s >= 0.5 else _s_minus_tanh_small(s)
+
+
+def _taylor(coeffs: tuple[float, ...], z: float) -> float:
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _g_unit(s: float) -> float:
+    """(log cosh s - s^2/2) / s^2 for 0 <= s < 1: below s = 0.5 from the series
+    of _COSH_GAUSS, where the difference cancels; 0 at s = 0."""
+    z = s * s
+    if s >= 0.5:
+        return log_cosh(s) / z - 0.5
+    q = z * _taylor(_COSH_GAUSS, z)
+    y = z * q  # log1p(y)/y is 1 where y is too small to change log1p
+    return q * (math.log1p(y) / y) if y else q
+
+
+def _h_unit(s: float) -> float:
+    """(s - tanh s - s^3/3) / s^3 for 0 <= s < 1, from the series of _H_NUMERATOR."""
+    z = s * s
+    return -z * _taylor(_H_NUMERATOR, z) / math.cosh(s)
+
+
+def e_sharp_gap(horizon: float, lam: float) -> float:
+    """e#_lam - e# at t = 0: what a fuel weight lam >= 1, inf included, adds
+    to the known-a opponent's cost at a = 0.
+
+    With s = T/sqrt(lam) and g(s) = log cosh s - s^2/2 it is lam g(s) - g(T):
+    the T^2/2 that both costs hold cancels exactly.  Below T = 1 it is formed
+    so, as T^2 (g(s)/s^2 - g(T)/T^2), and keeps its relative precision as
+    T -> 0; from T = 1 up, where T^2/2 outgrows the gap, it is
+    lam log cosh s - log cosh T.
+    """
+    T = horizon
+    s = T / math.sqrt(lam)  # 0 at lam = inf
+    if T < 1.0:
+        return T * T * (_g_unit(s) - _g_unit(T))
+    return (lam * log_cosh(s) if s else 0.5 * T * T) - log_cosh(T)
+
+
+def e0_gap(horizon: float, lam: float) -> float:
+    """e0_lam - e0 at t = 0, what the fuel weight adds to the a^2 term, formed
+    as in e_sharp_gap from h(s) = s - tanh s - s^3/3: T^3 (h(s)/s^3 -
+    h(T)/T^3) below T = 1, lam^{3/2} (s - tanh s) - (T - tanh T) from T = 1 up."""
+    T = horizon
+    s = T / math.sqrt(lam)
+    if T < 1.0:
+        return T * T * T * (_h_unit(s) - _h_unit(T))
+    return (lam * math.sqrt(lam) * e0_unit(s) if s else T * T * T / 3.0) - e0_unit(T)
 
 
 def _check_time(t: float, spec: ProblemSpec) -> None:

@@ -2,10 +2,13 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -26,6 +29,7 @@ from agnostic_control import (
     make_strategy,
     simulate_path,
 )
+from agnostic_control import solvers
 from agnostic_control.cli import main
 
 
@@ -98,13 +102,14 @@ def test_figures_3_lambda_near_reference(tmp_path, capsys):
 
 
 def test_figures_2_says_why_every_point_failed(tmp_path, capsys):
+    # F0 underflows to 0 at these horizons, so the residual is -inf at the start
     code, _, err = run_cli(
-        capsys, "figures", "--which", "2", "--grid", "1e-8,1e-7", "--out", str(tmp_path)
+        capsys, "figures", "--which", "2", "--grid", "1e-70,1e-69", "--out", str(tmp_path)
     )
     assert code == 4
     assert err.splitlines() == [
-        "warning: T=1e-08: NoRootError: no sign change over scan [0.001, 1000.0]",
-        "warning: T=1e-07: NoRootError: no sign change over scan [0.001, 1000.0]",
+        "warning: T=1e-70: NoRootError: f(1.962466e+35) = -inf is not finite",
+        "warning: T=1e-69: NoRootError: f(6.205862390639999e+34) = -inf is not finite",
         "error: 2/2 sweep points failed",
     ]
     lines = (tmp_path / "fig2.csv").read_text().splitlines()
@@ -112,8 +117,15 @@ def test_figures_2_says_why_every_point_failed(tmp_path, capsys):
     assert [line.split(",")[1:] for line in lines[1:]] == [["", ""], ["", ""]]
 
 
-def test_figures_leave_an_unconverged_point_empty(tmp_path, capsys):
-    # at T = 1e-3 the fuel-tax solve returns a lambda* without converging
+def test_figures_leave_an_unconverged_point_empty(tmp_path, capsys, monkeypatch):
+    # the fuel-tax solve at T = 1e-3 made to return its lambda* unconverged
+    solve = solvers.solve_fueltax
+
+    def unconverged_at_1e_3(T, **kwargs):
+        lam_r, sig_r = solve(T, **kwargs)
+        return dataclasses.replace(lam_r, converged=T != 1e-3), sig_r
+
+    monkeypatch.setattr(solvers, "solve_fueltax", unconverged_at_1e_3)
     code, _, err = run_cli(
         capsys, "figures", "--which", "3", "--grid", "1e-3,2", "--out", str(tmp_path)
     )
@@ -199,8 +211,10 @@ def test_dump_trajectory(tmp_path, capsys):
         "--paths", "1", "--out", str(tmp_path), "--dump-paths", "1",
     )
     assert code == 0
+    # _write, the one writer of every file acl makes, ends lines in "\n" alone
+    for name in ("path_00000.csv", "result.json", "result.manifest.json"):
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
     text = (tmp_path / "path_00000.csv").read_bytes().decode()
-    assert "\r" not in text
     lines = text.splitlines()
     assert lines[0] == "t,q,xi,u"
     assert len(lines) == cfg.n_steps + 1
@@ -279,9 +293,22 @@ def test_regret_fueltax(capsys):
     assert max(data["cost_ratio"]) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_regret_fueltax_unconverged_exits_4(capsys):
+def test_regret_fueltax_unconverged_exits_4(capsys, monkeypatch):
+    solve = cli.solve_fueltax
+    monkeypatch.setattr(cli, "solve_fueltax",
+                        lambda T: tuple(dataclasses.replace(r, converged=False) for r in solve(T)))
     code, out, err = run_cli(capsys, "regret", "--mode", "fueltax", "--T", "1e-3")
     assert (code, out, err) == (4, "", "error: fuel-tax solve did not converge at T=0.001\n")
+
+
+def test_regret_at_small_horizons(capsys):
+    # the solves converge where the sigma scan used to miss the root
+    code, out, _ = run_cli(capsys, "regret", "--mode", "fueltax", "--T", "1e-3")
+    assert code == 0
+    assert json.loads(out)["lambda"] == pytest.approx(1.2876026533, abs=1e-7)
+    code, out, _ = run_cli(capsys, "regret", "--mode", "multiplicative", "--T", "1e-4")
+    assert code == 0
+    assert json.loads(out)["sigma"] == pytest.approx(196.24659, rel=1e-6)
 
 
 @pytest.mark.parametrize("argv", [
@@ -296,8 +323,8 @@ def test_regret_fueltax_unconverged_exits_4(capsys):
 def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
     # a solve reads the coefficients at its root and bracket ends back, a
     # regret table evaluates one form, and figure 2 reuses its peak row's form;
-    # every quadrature, perf_coeffs' and the additive regret's, passes through
-    # performance._f0_and_tail
+    # every quadrature, the solves', perf_coeffs' and the additive regret's,
+    # passes through performance._f0_and_tail
     from agnostic_control import performance
 
     keys = []
@@ -308,9 +335,38 @@ def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
         return original(t, prior, spec)
 
     monkeypatch.setattr(performance, "_f0_and_tail", counted)
+    monkeypatch.setattr(solvers, "_f0_and_tail", counted)
     code, _, _ = run_cli(capsys, *[str(tmp_path) if a == "OUT" else a for a in argv])
     assert code == 0
     assert keys and len(keys) == len(set(keys))
+
+
+def _acl_process(argv, stdout) -> subprocess.CompletedProcess:
+    """acl as its own process, through python -m, with stdout given."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "agnostic_control.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=120)
+
+
+def test_a_closed_stdout_ends_quietly():
+    # as `acl ... | head -3` once the reader has gone: exit 1, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _acl_process(["regret", "--mode", "multiplicative", "--T", "1e-4"], write_end)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_stdout_is_exit_2_in_one_line():
+    with open("/dev/full", "wb") as full:
+        res = _acl_process(["gains", "--T", "2", "--t", "0.5"], full)
+    assert res.returncode == 2
+    assert res.stderr == b"error: cannot write stdout: No space left on device\n"
 
 
 def test_regret_additive_requires_t0(capsys):

@@ -23,12 +23,13 @@ from agnostic_control import (
     sweep,
     worst_case_mr,
 )
+from agnostic_control.performance import _f0_and_tail
 from agnostic_control.solvers import F_TOL, T_GRID_DEFAULT
 from agnostic_control import solvers
 
 
 def test_find_root_simple():
-    r = find_root(lambda x: x * x - 2.0, (0.5, 1.0, 2.0))
+    r = find_root(lambda x: x * x - 2.0, 1.0, 1.0)
     assert r.converged
     assert r.root == pytest.approx(2 ** 0.5, rel=1e-9)
     assert r.bracket_lo <= r.root <= r.bracket_hi
@@ -36,58 +37,40 @@ def test_find_root_simple():
 
 
 def test_find_root_log_space():
-    r = find_root(lambda x: np.log10(x) + 2.0, (1e-6, 1.0))
+    r = find_root(lambda x: np.log10(x) + 2.0, 1.0, 1.0)
     assert r.root == pytest.approx(1e-2, rel=1e-6)
 
 
 def test_find_root_requires_sign_change():
-    with pytest.raises(NoRootError) as exc:
-        find_root(lambda x: x * x + 1.0, (0.5, 1.0))
-    assert exc.value.scan == [(0.5, 1.25), (1.0, 2.0)]
-
-
-def test_find_root_bisects_the_scan_to_the_pair_around_the_sign_change():
-    xs = [float(x) for x in solvers._SIGMA_SCAN]
-    first = next(i for i in range(len(xs)) if xs[i + 1] > 2.5)
-    lo, hi = xs[first], xs[first + 1]
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return math.log(x) - math.log(2.5)
-
-    r = find_root(f, solvers._SIGMA_SCAN)
-    assert r.converged and r.root == pytest.approx(2.5, rel=1e-9)
-    assert sum(x in xs for x in seen) <= 7  # both ends, then log2(30) bisections
-    assert all(lo < x < hi for x in seen if x not in xs)
-    assert lo <= r.bracket_lo <= r.root <= r.bracket_hi <= hi
-
-
-def test_find_root_refuses_when_the_ends_agree_in_sign():
-    # f > 0 at both ends, with sign changes at 1 and 3 between them: the scan
-    # refuses, after evaluating the ends, then the point between them
-    seen = []
-
-    def f(x):
-        seen.append(x)
-        return (x - 1.0) * (x - 3.0)
-
-    with pytest.raises(NoRootError, match=r"no sign change over scan \[0.5, 4.0\]") as exc:
-        find_root(f, (0.5, 2.0, 4.0))
-    assert exc.value.scan == [(0.5, 1.25), (2.0, -1.0), (4.0, 3.0)]
-    assert seen == [0.5, 4.0, 2.0]
+    # no root: the walk goes downhill by factors of 4 until _MAX_ITER, and the
+    # error holds every point it evaluated
+    with pytest.raises(NoRootError, match="no root within 200 evaluations from x=1.0") as exc:
+        find_root(lambda x: x * x + 1.0, 1.0, 1.0)
+    scan = exc.value.scan
+    assert len(scan) == solvers._MAX_ITER and scan[:2] == [(1.0, 2.0), (0.25, 1.0625)]
+    assert all(b[0] == pytest.approx(a[0] / 4.0, rel=1e-12) for a, b in zip(scan, scan[1:]))
+    assert all(fx == x * x + 1.0 for x, fx in scan)
+    # a start where f is not finite has nothing to step from
+    with pytest.raises(NoRootError, match=r"f\(2.0\) = -inf is not finite") as exc:
+        find_root(lambda x: -math.inf, 2.0, 1.0)
+    assert exc.value.scan == [(2.0, -math.inf)]
 
 
 def test_find_root_halves_an_end_kept_twice():
-    # x^4 - 16 is convex, so the secant keeps the end at 4; regula falsi without
-    # the halving takes 126 evaluations
-    r = find_root(lambda x: x ** 4 - 16.0, (1.0, 4.0))
+    # x^4 - 16 is convex, so the secant keeps the end at 4; without the halving
+    # the search takes 17 evaluations, and on x^10 - 1024 it reaches _MAX_ITER
+    r = find_root(lambda x: x ** 4 - 16.0, 1.0, 4.0)
     assert r.converged and r.root == pytest.approx(2.0, rel=1e-9)
     assert r.iterations <= 15
+    r = find_root(lambda x: x ** 10 - 1024.0, 1.0, 10.0)
+    assert r.converged and r.root == pytest.approx(2.0, rel=1e-9)
+    assert r.iterations <= 25
 
 
 def test_find_root_bisects_when_the_secant_is_not_finite():
-    r = find_root(lambda x: 2.0 - x if x <= 3.0 else -math.inf, (1.0, 4.0))
+    # the first step is cut to a factor of 4, onto -inf: the secant through it
+    # is not finite, so the bracket [1, 4] is bisected
+    r = find_root(lambda x: 2.0 - x if x <= 3.0 else -math.inf, 1.0, -0.1)
     assert r.converged and r.root == pytest.approx(2.0, rel=1e-9)
     assert 1.0 <= r.bracket_lo <= r.root <= r.bracket_hi <= 4.0
 
@@ -96,116 +79,79 @@ def test_find_root_stops_when_the_bracket_closes():
     # a step has no point with |f| <= F_TOL: once the bracket has closed to
     # adjacent floats around it, the search stops unconverged, not at _MAX_ITER
     for c in (2.0, 0.9, 37.5, 1e-3):
-        r = find_root(lambda x: 1.0 if x > c else -1.0, (c / 3.0, 4.0 * c))
+        r = find_root(lambda x: 1.0 if x > c else -1.0, c / 3.0, 1.0)
         assert not r.converged and r.iterations <= 64, c
         assert r.bracket_lo <= c < r.bracket_hi <= r.bracket_lo + 4.0 * math.ulp(c), c
         assert r.root in (r.bracket_lo, r.bracket_hi), c
 
 
-def test_fueltax_solve_stops_when_its_residual_floor_is_reached():
-    # at T = 1e-3 the residual's rounding floor exceeds F_TOL, so the sigma
-    # bracket closes to adjacent floats, after 35 evaluations, well short of _MAX_ITER
-    lam_r, sig_r = solve_fueltax(1e-3)
-    assert not (lam_r.converged or sig_r.converged)
-    assert sig_r.iterations <= 45
-    assert lam_r.root == pytest.approx(1.2876026533, rel=1e-7)
-
-
-def test_solves_quadrature_budget(monkeypatch):
-    # one F0/F# quadrature per residual evaluation, none at the root or the
-    # bracket ends, which the solve reads back; bisecting, then Newton on a
-    # differenced slope made 19 and 22
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return perf_coeffs(*args)
-
-    monkeypatch.setattr(solvers, "perf_coeffs", counted)
-    solve_sigma_mr(2.0)
-    assert len(calls) <= 11
-    calls.clear()
-    solve_fueltax(2.0)
-    assert len(calls) <= 13
-
-
-def test_find_root_corrects_a_guess_before_the_scan():
+def test_find_root_walks_from_its_start():
     seen = []
 
     def f(x):
         seen.append(x)
         return x * x - 2.0
 
-    def solve(guess):
+    def solve(x, slope):
         seen.clear()
-        return find_root(f, solvers._SIGMA_SCAN, guess=guess), list(seen)
+        return find_root(f, x, slope), list(seen)
 
-    cold, cold_seen = solve(None)
-    assert cold.converged and cold.slope == pytest.approx(4.0, rel=1e-6)  # df/dlog x = 2x^2
-    # a good guess: secant steps from it, no scan; the bracket is the span of the iterates
-    r, evals = solve((1.415, 4.0))
+    # a good start: secant steps from it, no bracket; the bracket is the span
+    # of the iterates, and the slope the last secant's (df/dlog x = 2x^2)
+    r, evals = solve(1.415, 4.0)
     assert r.converged and abs(r.residual) <= F_TOL and r.root == pytest.approx(2 ** 0.5, rel=1e-9)
     assert r.iterations == len(evals) <= 4 and r.root == evals[-1]
     assert (r.bracket_lo, r.bracket_hi) == (min(evals), max(evals))
     assert r.slope == pytest.approx(4.0, rel=1e-3)
-    # a NaN guess or slope, a zero or wrong-sign slope, a guess beyond the scan or
-    # one whose first step leaves it: the guess's evaluations are dropped, and
-    # the solve is the cold one
-    for guess in ((math.nan, 4.0), (1.415, math.nan), (1.415, 0.0), (1.415, -4.0),
-                  (2e3, 4.0), (900.0, 4.0)):
-        r, evals = solve(guess)
-        assert r == cold, guess
-        assert evals[len(evals) - len(cold_seen):] == cold_seen, guess
-        assert len(evals) - len(cold_seen) <= (0 if math.isnan(guess[0]) or guess[0] > 1e3 else 2), guess
-        assert r.bracket_lo <= r.root <= r.bracket_hi, guess
+    # a far start, or a first step that is not finite: steps downhill of at
+    # most a factor of 4 until the sign changes, the first a full one when
+    # slope gives no finite step
+    for x, slope in ((1e-3, 4.0), (1e3, 4.0), (0.5, math.nan), (0.5, 0.0), (0.5, math.inf)):
+        r, evals = solve(x, slope)
+        assert r.converged and r.root == pytest.approx(2 ** 0.5, rel=1e-9), (x, slope)
+        crossed = next((i for i, v in enumerate(evals) if (v > 2 ** 0.5) != (x > 2 ** 0.5)),
+                       len(evals) - 1)
+        steps = [b / a if x < 1.0 else a / b for a, b in zip(evals, evals[1:crossed + 1])]
+        assert all(1.0 < q <= 4.0 * (1.0 + 1e-12) for q in steps), (x, slope)
+        if x == 0.5:
+            assert steps == [pytest.approx(4.0, rel=1e-12)], slope
+    # the sign of slope says which way is downhill: the same start and a slope
+    # of the wrong sign walk away from the root until _MAX_ITER
+    with pytest.raises(NoRootError):
+        solve(0.5, -4.0)
 
 
-def test_find_root_drops_a_guess_that_runs_out_of_steps():
-    # secant steps close on a triple root only linearly: after _GUESS_MAX
-    # evaluations without |f| <= F_TOL the scan takes over
-    seen = []
+def test_solves_quadrature_budget(monkeypatch):
+    # one F0/F# quadrature per residual evaluation, none at the root or the
+    # bracket ends, which the solve reads back; a solve starts at its predicted
+    # root, where bisecting a 31-point scan first took 11 (sigma*) and 13 at T = 2
+    calls = []
 
-    def f(x):
-        seen.append(x)
-        return (math.log(x) - math.log(2.5)) ** 3
+    def counted(*args):
+        calls.append(args)
+        return _f0_and_tail(*args)
 
-    cold = find_root(f, solvers._SIGMA_SCAN)
-    n_cold = len(seen)
-    seen.clear()
-    r = find_root(f, solvers._SIGMA_SCAN, guess=(1.0, 3.0 * math.log(2.5) ** 2))
-    assert r == cold and len(seen) == solvers._GUESS_MAX + n_cold
-
-
-def test_a_failing_guess_raises_the_scan_error():
-    # at T = 1e-8 neither residual changes sign over the scan; the fuel-tax
-    # residual is 1 at every sigma, so no step from a guess shrinks it
-    for solve, guess in ((solve_sigma_mr, (2e3, -1.0)), (solve_fueltax, (0.5, -1.0)),
-                         (solve_fueltax, (0.5, 1.0))):
-        with pytest.raises(NoRootError) as cold:
-            solve(1e-8)
-        with pytest.raises(NoRootError) as warm:
-            solve(1e-8, guess=guess)
-        assert str(warm.value) == str(cold.value) and warm.value.scan == cold.value.scan
+    monkeypatch.setattr(solvers, "_f0_and_tail", counted)
+    for T in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+        calls.clear()
+        solve_sigma_mr(T)
+        assert len(calls) <= 6, T
+        calls.clear()
+        solve_fueltax(T)
+        assert len(calls) <= 6, T
 
 
 @pytest.mark.parametrize("quantity", ["sigma_mr", "fueltax"])
-@pytest.mark.parametrize("grid, rescans", [
-    (T_GRID_DEFAULT, False),
-    ((0.5, 1.0, 2.0, 4.0, 8.0), False),
-    (tuple(np.logspace(-2.0, 3.0, 60)), False),
-    ((1e-8, 1e-7, 1e-2, 0.1, 1.0, 10.0), None),  # NoRootError at the first two horizons
-    ((1e10, float(np.nextafter(1e10, 2e10)), 2e10), None),  # the first two have one log T
-    ((0.1, 0.2, 0.4, 0.8, 500.0, 1000.0), True),  # the guess at 500 fails: that point scans
+@pytest.mark.parametrize("grid", [
+    T_GRID_DEFAULT,
+    (0.5, 1.0, 2.0, 4.0, 8.0),
+    tuple(np.logspace(-2.0, 3.0, 60)),
+    (1e-70, 1e-69, 1e-2, 0.1, 1.0, 10.0),  # F0 underflows to 0: NoRootError at the first two horizons
+    (1e10, float(np.nextafter(1e10, 2e10)), 2e10),  # the first two have one log T
+    (0.1, 0.2, 0.4, 0.8, 500.0, 1000.0),  # the guess at 500 is far off: it walks
 ], ids=["default", "readme", "logspace60", "no_root", "equal_log_T", "jump"])
-def test_sweep_continuation_matches_cold_solves(monkeypatch, quantity, grid, rescans):
-    scans = []
-    scan = solvers._scan_bracket
-    monkeypatch.setattr(solvers, "_scan_bracket", lambda f, xs: scans.append(1) or scan(f, xs))
+def test_sweep_continuation_matches_cold_solves(quantity, grid):
     warm = sweep(quantity, grid).records
-    # each point scans until one converges; a later one only when its guess fails
-    n_cold = next(i for i, w in enumerate(warm) if w.get("converged")) + 1
-    if rescans is not None:
-        assert (len(scans) > n_cold) == rescans, len(scans)
     # a one-point sweep has no roots to continue from: it is the cold solve
     cold = [sweep(quantity, (T,)).records[0] for T in grid]
     key = "sigma_ft" if quantity == "fueltax" else "sigma_star"
@@ -217,49 +163,91 @@ def test_sweep_continuation_matches_cold_solves(monkeypatch, quantity, grid, res
         sigma = w[key]
         coeffs = solvers._coeffs_at_zero(T)
         if quantity == "fueltax":
-            assert abs(solvers._fueltax_residual(T, coeffs)(sigma)) <= F_TOL, T
+            assert abs(solvers._fueltax_residual(T, coeffs, {})(sigma)) <= F_TOL, T
             form = regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T), w["lambda_star"])
             assert abs(form(0.0) - 1.0) <= F_TOL, T
         else:
             assert abs(solvers._sigma_mr_residual(T, coeffs)(sigma)) <= F_TOL, T
-        if grid is T_GRID_DEFAULT:  # F_TOL pins sigma* loosely only below T = 3.5e-2
+        if grid is T_GRID_DEFAULT:
             assert sigma == pytest.approx(c[key], rel=1e-9 if quantity == "fueltax" else 1e-6), T
     assert any(w.get("converged") for w in warm)
-    assert ("error" in warm[0]) == (grid[0] == 1e-8)
+    assert ("error" in warm[0]) == (grid[0] == 1e-70)
 
 
 def test_sweep_quadrature_budget(monkeypatch):
-    # predictor-corrector continuation: 128 quadratures for sigma* (the sweep
-    # of figures 1 and 2) and 135 for the fuel tax
+    # predictor-corrector continuation: 124 quadratures for sigma* (the sweep
+    # of figures 1 and 2) and 125 for the fuel tax
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return perf_coeffs(*args)
+        return _f0_and_tail(*args)
 
-    monkeypatch.setattr(solvers, "perf_coeffs", counted)
+    monkeypatch.setattr(solvers, "_f0_and_tail", counted)
     for quantity, budget in (("sigma_mr", 140), ("fueltax", 150)):
         calls.clear()
         sweep(quantity, T_GRID_DEFAULT)
         assert len(calls) <= budget, quantity
 
 
+def test_a_failing_guess_raises_the_scan_error():
+    # at T = 1e-70 F0 underflows to 0, so neither residual is finite where a
+    # solve starts: with a guess or without, it raises NoRootError whose .scan
+    # holds the one point it evaluated
+    for solve, start, guess in ((solve_sigma_mr, solvers._SIGMA_MR_START, (2e3, -1.0)),
+                                (solve_fueltax, solvers._FUELTAX_START, (0.5, -1.0))):
+        for g in (None, guess):
+            with pytest.raises(NoRootError, match="is not finite") as exc:
+                solve(1e-70, guess=g)
+            assert exc.value.scan == [((g or solvers._start(start, 1e-70))[0], -math.inf)]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(log_T=st.floats(-8.0, 10.0))
 def test_residuals_change_sign_once_over_the_scan(log_T):
-    # what lets find_root bisect the scan or refuse: a residual whose scan ends
-    # agree in sign has no sign change between them, and one whose ends differ
-    # has exactly one; the secant steps inside it read the values, so they must
-    # be finite
+    # what lets find_root walk downhill by the sign of its slope: over sigma
+    # from 4^-4 to 4^4 times each solve's start, each residual is finite and
+    # falls from positive to negative, changing sign once
     T = 10.0 ** log_T
     coeffs = solvers._coeffs_at_zero(T)
-    for resid in (solvers._sigma_mr_residual(T, coeffs), solvers._fueltax_residual(T, coeffs)):
-        values = [resid(float(s)) for s in solvers._SIGMA_SCAN]
+    for resid, start in ((solvers._sigma_mr_residual(T, coeffs), solvers._SIGMA_MR_START),
+                         (solvers._fueltax_residual(T, coeffs, {}), solvers._FUELTAX_START)):
+        sigma_0, slope = solvers._start(start, T)
+        values = [resid(sigma_0 * 4.0 ** k) for k in range(-4, 5)]
         assert all(math.isfinite(v) for v in values), T
-        signs = [math.copysign(1.0, v) for v in values]
-        changes = sum(a != b for a, b in zip(signs, signs[1:]))
-        assert changes <= 1, T
-        assert changes == (signs[0] != signs[-1]), T
+        assert values[0] > 0.0 > values[-1] and slope < 0.0, T
+        assert sum((a > 0.0) != (b > 0.0) for a, b in zip(values, values[1:])) == 1, T
+
+
+def test_solves_converge_from_tiny_to_huge_horizons():
+    # the scale-free residuals and the walk from the predicted start: both
+    # solves converge over 18 decades of T, none near _MAX_ITER
+    for T in np.logspace(-8.0, 10.0, 73):
+        sr = solve_sigma_mr(float(T))
+        lam_r, sig_r = solve_fueltax(float(T))
+        assert sr.converged and lam_r.converged and sig_r.converged, T
+        assert max(sr.iterations, sig_r.iterations) <= 20, T
+    assert solve_sigma_mr(1e10).root == pytest.approx(0.2289502, rel=1e-6)
+    assert solve_sigma_mr(1e-4).root == pytest.approx(196.24659, rel=1e-6)
+
+
+def test_roots_reach_their_small_horizon_limits():
+    # sigma* sqrt(T) -> 1.962466, sigma_ft sqrt(T) -> 1.5212 and lambda* ->
+    # 1.2876026533, each with a gap of order T
+    T = 1e-6
+    assert abs(solve_sigma_mr(T).root * math.sqrt(T) - 1.962466) <= 1e-6
+    lam_r, sig_r = solve_fueltax(T)
+    assert abs(sig_r.root * math.sqrt(T) - 1.5212) <= 1e-4
+    assert abs(lam_r.root - 1.2876026533) <= 1e-8
+
+
+def test_fueltax_solve_converges_where_the_differences_cancelled():
+    # at T = 1e-3 e#_lambda - e# and e0_lambda - e0 are differences of numbers
+    # near T^2/2 and T^3/3; formed from their series, the solve converges
+    lam_r, sig_r = solve_fueltax(1e-3)
+    assert lam_r.converged and sig_r.converged
+    assert sig_r.iterations <= 6
+    assert lam_r.root == pytest.approx(1.2876026533, rel=1e-7)
 
 
 def test_sigma_mr_certified_constant():
@@ -313,8 +301,7 @@ def test_fueltax_solution_meets_both_constancy_conditions(T):
 
 
 def test_fueltax_takes_a_numpy_horizon():
-    # numpy scalars warn on overflow; the widest priors of the scan pass the
-    # lambda -> inf limit of e#_lambda at T = 2
+    # numpy scalars warn on overflow, which a numpy horizon must not reach
     lam_r, sig_r = solve_fueltax(np.float64(2.0))
     assert lam_r.converged and sig_r.converged
     assert lam_r.root == pytest.approx(solve_fueltax(2.0)[0].root, rel=1e-12)
