@@ -13,7 +13,8 @@ digits so output round-trips exactly, and every file is written by _write,
 with lines ending in "\n".  Exit codes: 0 success, 1 stdout closed by its
 reader (a broken pipe, which prints nothing more), 2 usage or domain error
 (an output path or stdout that cannot be written included), 3 budget
-exceeded, 4 solver or quadrature failure.
+exceeded, 4 solver or quadrature failure, 130 interrupted by Ctrl-C (one
+line on stderr, as every error).
 
 main(argv) runs one command in-process and returns its exit code.  It
 builds the argument parser on its first call and reuses it for every later
@@ -27,6 +28,7 @@ import argparse
 import contextlib
 import datetime
 import functools
+import io
 import json
 import math
 import os
@@ -47,6 +49,7 @@ EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_SOLVER = 4
+EXIT_INTERRUPT = 130
 
 
 def _fmt(v) -> str:
@@ -166,25 +169,21 @@ def _cmd_figures(args) -> int:
     # only once sweep has accepted the grid, so that a rejected call writes nothing
     with _writing(args.out):
         os.makedirs(args.out, exist_ok=True)
-    # a point that failed or did not converge gets a warning and empty cells
-    solved = [rec for rec in records if rec.get("converged")]
+    # a point that failed gets a warning and empty cells
+    solved = [rec for rec in records if "error" not in rec]
     for rec in records:
-        if not rec.get("converged"):
-            why = rec.get("error", "the solve did not converge")
-            print(f"warning: T={rec['T']}: {why}", file=sys.stderr)
+        if "error" in rec:
+            print(f"warning: T={rec['T']}: {rec['error']}", file=sys.stderr)
 
     if args.which == 2 and solved:
         peak = max(solved, key=lambda r: r["mr_star_optimal"])
-        sigma_fixed = peak["sigma_star"]
         for rec in solved:
-            # at the peak, sigma_fixed is the row's own sigma*, whose form the sweep kept
-            rec["mr_star_fixed_sigma"] = (
-                peak["form"].sup if rec is peak else worst_case_mr(rec["T"], sigma=sigma_fixed)
-            )
+            # at the peak, the fixed sigma is the row's own sigma*
+            rec["mr_star_fixed_sigma"] = (rec["mr_star_sup"] if rec is peak
+                                          else worst_case_mr(rec["T"], sigma=peak["sigma_star"]))
 
     stem = os.path.join(args.out, f"fig{args.which}")
-    rows = [[rec["T"], *(rec[c] if rec.get("converged") else "" for c in columns[1:])]
-            for rec in records]
+    rows = [[rec["T"], *(rec.get(c, "") for c in columns[1:])] for rec in records]
     _write(stem + ".csv", _csv(columns, rows))
     _write_manifest(stem, "figures", {"which": args.which, "grid": grid})
     failures = len(records) - len(solved)
@@ -266,8 +265,6 @@ def _cmd_regret(args) -> int:
                               "F# diverges")
         if args.sigma == "auto":
             sr = solve_sigma_mr(args.T)
-            if not sr.converged:
-                raise NoRootError(f"sigma* solve did not converge at T={args.T}")
             sigma, form = sr.root, sr.form
         else:
             sigma = _parse_sigma(args.sigma)
@@ -286,8 +283,6 @@ def _cmd_regret(args) -> int:
         if args.sigma != "auto":
             raise DomainError("fuel-tax mode solves sigma itself; use --sigma auto")
         lam_r, sig_r = solve_fueltax(args.T)
-        if not (lam_r.converged and sig_r.converged):
-            raise NoRootError(f"fuel-tax solve did not converge at T={args.T}")
         vals = [lam_r.form(a) for a in a_grid]
         result["sigma"] = sig_r.root
         result["lambda"] = lam_r.root
@@ -357,9 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(argv) -> int:
+    # argparse drops an OSError from its own write of --help or --version:
+    # written from here, one reaches main
+    printed = io.StringIO()
     try:
-        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(printed):
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
+        sys.stdout.write(printed.getvalue())
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
@@ -387,6 +387,9 @@ def main(argv=None) -> int:
         # inside the try, so that a stdout that cannot be written fails here
         sys.stdout.flush()
         return code
+    except KeyboardInterrupt:  # Ctrl-C
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except BrokenPipeError:  # the reader closed stdout, as `acl ... | head -1` does
         _stdout_to_devnull()
         return EXIT_PIPE

@@ -14,9 +14,10 @@ class QuadratureError(RuntimeError):
 
 
 class NoRootError(RuntimeError):
-    """No root found, or a solve did not converge.  find_root raises it when its
-    function is not finite at the start or after its last evaluation, with
-    every (x, f(x)) it made as .scan."""
+    """A root solve failed: no solve returns an unconverged root.  find_root
+    raises it when its function is not finite at the start, when its bracket
+    closes with no root found or after its last evaluation, with every
+    (x, f(x)) it made as .scan."""
 
 
 class BudgetError(RuntimeError):

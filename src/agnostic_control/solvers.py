@@ -15,16 +15,16 @@ e0)/F0, with lambda(sigma) read from F# - e# = e#_lambda - e#.  Both sides of
 each vanish like T^2 as T -> 0, and each difference is formed without
 cancellation, so |residual| <= F_TOL means the same thing at every horizon.
 
-Both solves use one search, find_root: secant steps in log sigma from a
-predicted start, each at most a factor of 4 in sigma, until |residual| <=
-F_TOL or two evaluated points straddle a sign change.  That bracket is then
-narrowed by the secant point where it falls inside, and otherwise by the
-Illinois method (Dowell & Jarratt, BIT 11, 1971), a regula falsi in log
-sigma that halves the value of an end kept twice in a row.  As T -> 0 the
-roots follow sigma sqrt(T) -> C, 1.962466 for sigma* and 1.5212 for sigma_ft;
-a single solve starts at sigma_0(T) = C (1 + T/25)/sqrt(T), within 4 % of both
-roots over [0.1, 20], and takes its first step along the residual's slope in
-log sigma there.
+Both solves use one search, find_root: one loop of secant steps in log sigma
+from a predicted start until |residual| <= F_TOL.  Each step is at most a
+factor of 4 in sigma until two evaluated points straddle a sign change; from
+then on it stays inside that bracket, falling back to the Illinois method
+(Dowell & Jarratt, BIT 11, 1971), a regula falsi in log sigma that halves the
+value of an end kept twice in a row.  A solve returns a converged root or
+raises NoRootError.  As T -> 0 the roots follow sigma sqrt(T) -> C, 1.962466
+for sigma* and 1.5212 for sigma_ft; a single solve starts at sigma_0(T) =
+C (1 + T/25)/sqrt(T), within 4 % of both roots over [0.1, 20], and takes its
+first step along the residual's slope in log sigma there.
 
 A sweep continues along the curve it solves (Allgower & Georg, Numerical
 Continuation Methods, 1990), as a predictor-corrector: sigma moves smoothly
@@ -67,18 +67,18 @@ T_GRID_DEFAULT = tuple(np.logspace(math.log10(0.1), math.log10(20.0), 40))
 
 @dataclass(frozen=True)
 class SolveResult:
-    """One root solve.  bracket_lo and bracket_hi hold the root between a sign
-    change of the residual, except after a solve that converged before any
-    sign change, where they are the span of its iterates.  slope is
-    d(residual)/d(log root) through the last two points evaluated, or the
-    slope the solve started from where it evaluated one."""
+    """One converged root solve: |residual| <= F_TOL at root.  bracket_lo and
+    bracket_hi hold the root between a sign change of the residual, except
+    after a solve that converged before any sign change, where they are the
+    span of its iterates.  slope is d(residual)/d(log root) through the last
+    two points evaluated, or the slope the solve started from where it
+    evaluated one."""
 
     root: float
     residual: float
     iterations: int
     bracket_lo: float
     bracket_hi: float
-    converged: bool
     #: the regret form at the root, where the root is a prior width (None from find_root)
     form: RegretForm | None = None
     slope: float | None = None
@@ -86,8 +86,9 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Per-horizon solved quantities, each record's 'T' in grid order; failed
-    points carry an 'error' entry."""
+    """Per-horizon solved quantities, each record's 'T' in grid order: a record
+    holds floats only, its solved quantities or, where its solve raised, an
+    'error' string in their place."""
 
     records: tuple[dict, ...]
 
@@ -102,15 +103,22 @@ def find_root(f: Callable[[float], float], x: float, slope: float) -> SolveResul
     """Root of f over x > 0, searched from x in u = log x.  slope estimates
     df/du at x; its sign is taken as that of df/du on the way to the root.
 
-    Secant steps in u walk from x, the first along slope and each later one
-    along the secant through the last two points.  A step that is not finite,
-    that leads away from the root (uphill in |f| by the sign of slope) or that
-    is wider than a factor of 4 in x is a factor of 4 downhill instead.  The
-    walk returns converged at the first point with |f| <= F_TOL, its bracket
-    the span of its iterates; once its last two points differ in sign,
-    _narrow narrows them.  NoRootError, with every (x, f(x)) pair evaluated
-    as .scan, when f is not finite at x or after _MAX_ITER evaluations.
-    iterations counts every evaluation.
+    One loop of steps in u, each to the secant point through the last two
+    points evaluated (the first along slope), until |f| <= F_TOL.  Until two
+    points differ in sign, a step that is not finite, that leads away from
+    the root (uphill in |f| by the sign of slope) or that is wider than a
+    factor of 4 in x is a factor of 4 downhill instead.  Once they do, they
+    bracket the root, and a secant point not strictly inside the bracket gives
+    way to the Illinois point (Dowell & Jarratt 1971): the secant point of the
+    bracket's ends, or their midpoint when that is not strictly inside either.
+    Each point replaces the end whose value has its sign, and an end kept
+    twice in a row has its stored value halved, which stops a convex f from
+    holding one end fixed.
+
+    NoRootError, with every (x, f(x)) pair evaluated as .scan, when f is not
+    finite at x, when the bracket has closed on two points with no exp(u)
+    strictly between them, or after _MAX_ITER evaluations.  iterations counts
+    every evaluation.
     """
     if not 0.0 < x < math.inf:
         raise DomainError(f"find_root starts from a positive, finite x, got {x}")
@@ -119,71 +127,48 @@ def find_root(f: Callable[[float], float], x: float, slope: float) -> SolveResul
     if not math.isfinite(fx):
         raise _no_root(scan, f"f({x!r}) = {fx} is not finite")
     u, m = math.log(x), slope
+    ends = None  # once two points differ in sign: [[a, log a, f(a)], [b, log b, f(b)]], a < b
+    kept = None  # the index of the end replaced by the last step
     while not abs(fx) <= F_TOL:
         if len(scan) == _MAX_ITER:
             raise _no_root(scan)
-        downhill = math.copysign(_STEP_MAX, -fx * slope)
         d = -fx / m if m else math.nan
-        # written as `not 0 < d` so that a NaN step goes downhill
-        if not 0.0 < d / downhill <= 1.0:
-            d = downhill
-        x_next = math.exp(u + d)
+        if not ends:
+            downhill = math.copysign(_STEP_MAX, -fx * slope)
+            # written as `not 0 < d` so that a NaN step goes downhill
+            if not 0.0 < d / downhill <= 1.0:
+                d = downhill
+        u_next = u + d
+        if ends:
+            (a, ua, fa), (b, ub, fb) = ends
+            # written as `not ua < u_next` so that a NaN point, from a value
+            # that is not finite, falls back
+            if not ua < u_next < ub:
+                u_next = ub - fb * (ub - ua) / (fb - fa)
+                if not ua < u_next < ub:
+                    u_next = 0.5 * (ua + ub)
+            d = u_next - u
+        x_next = math.exp(u_next)
+        if ends and x_next in (a, b):  # no exp(u) is left strictly inside the bracket
+            raise _no_root(scan, f"the bracket closed on [{a!r}, {b!r}] with no |f| <= {F_TOL}")
         f_next = f(x_next)
         scan.append((x_next, f_next))
         m = (f_next - fx) / d
-        if math.copysign(1.0, f_next) != math.copysign(1.0, fx) and not abs(f_next) <= F_TOL:
-            return _narrow(f, scan, m)
-        u, fx = u + d, f_next
+        if abs(f_next) <= F_TOL:
+            pass  # converged: the bracket stays as it was
+        elif ends:
+            i = int(math.copysign(1.0, f_next) != math.copysign(1.0, fa))  # the end of its sign
+            ends[i] = [x_next, u_next, f_next]
+            if kept == i:  # the other end kept twice in a row
+                ends[1 - i][2] *= 0.5
+            kept = i
+        elif math.copysign(1.0, f_next) != math.copysign(1.0, fx):
+            ends = [[p, math.log(p), fp] for p, fp in sorted(scan[-2:])]
+            u_next = math.log(x_next)
+        u, fx = u_next, f_next
     xs = [p[0] for p in scan]
-    return SolveResult(scan[-1][0], fx, len(scan), min(xs), max(xs), True, slope=m)
-
-
-def _narrow(f: Callable[[float], float], scan: list, slope: float) -> SolveResult:
-    """find_root's end, from the last two points of scan, which differ in sign
-    and bracket the root, and slope, the secant slope through them.
-
-    Each step in u = log x takes the secant point through the last two points
-    evaluated when it lies strictly inside the bracket, and otherwise the
-    Illinois point: the secant point of the bracket's ends, or their midpoint
-    when that is not strictly inside either.  The point replaces the end whose
-    value has its sign, and an end kept twice in a row has its stored value
-    halved, which stops a convex f from holding one end fixed.  When the next
-    point would equal an end, the bracket has closed to adjacent floats: the
-    last point evaluated is returned unconverged.
-    """
-    (a, fa), (b, fb) = sorted(scan[-2:])
-    ua, ub = math.log(a), math.log(b)
-    # the last point evaluated, with its value as evaluated, not as halved
-    x, fx = scan[-1]
-    u_last = math.log(x)
-    kept = 0  # the end kept by the last step: -1 for a, +1 for b
-    while len(scan) < _MAX_ITER:
-        u = u_last - fx / slope if slope else math.nan
-        # written as `not lo < u` so that a NaN point, from a value that is
-        # not finite, falls back
-        if not ua < u < ub:
-            u = ub - fb * (ub - ua) / (fb - fa)
-            if not ua < u < ub:
-                u = 0.5 * (ua + ub)
-        x_next = math.exp(u)
-        if x_next in (a, b):  # no float is left strictly inside the bracket
-            return SolveResult(x, fx, len(scan), a, b, False, slope=slope)
-        f_next = f(x_next)
-        scan.append((x_next, f_next))
-        slope, u_last, x, fx = (f_next - fx) / (u - u_last), u, x_next, f_next
-        if abs(fx) <= F_TOL:
-            return SolveResult(x, fx, len(scan), a, b, True, slope=slope)
-        if math.copysign(1.0, fx) == math.copysign(1.0, fa):
-            a, ua, fa = x, u, fx
-            if kept == 1:
-                fb *= 0.5
-            kept = 1
-        else:
-            b, ub, fb = x, u, fx
-            if kept == -1:
-                fa *= 0.5
-            kept = -1
-    raise _no_root(scan)
+    lo, hi = (ends[0][0], ends[1][0]) if ends else (min(xs), max(xs))  # else the iterates' span
+    return SolveResult(scan[-1][0], fx, len(scan), lo, hi, slope=m)
 
 
 def _start(start: tuple[float, float], T: float) -> tuple[float, float]:
@@ -231,13 +216,23 @@ def _sigma_mr_residual(T: float, coeffs) -> Callable[[float], float]:
     return resid
 
 
+def _root_in_sigma(T: float, resid, coeffs, start, guess) -> SolveResult:
+    """find_root of resid from guess, or else from start's predicted sigma,
+    which it cannot leave where F0 underflows to 0 and resid is not finite."""
+    sigma, slope = guess or _start(start, T)
+    if coeffs(sigma)[0] == 0.0:
+        raise _no_root([(sigma, resid(sigma))], f"F0 underflows to 0 at sigma={sigma!r}, "
+                                                 f"T={T!r}, so the residual is not finite")
+    return find_root(resid, sigma, slope)
+
+
 def solve_sigma_mr(T: float, *, guess=None) -> SolveResult:
     """Prior width sigma* making the competitive ratio independent of the drift:
     its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0; .form is the ratio
     there.  guess, a sigma and the residual's slope in log sigma, replaces the
     predicted start."""
     coeffs = _coeffs_at_zero(T)
-    sr = find_root(_sigma_mr_residual(T, coeffs), *(guess or _start(_SIGMA_MR_START, T)))
+    sr = _root_in_sigma(T, _sigma_mr_residual(T, coeffs), coeffs, _SIGMA_MR_START, guess)
     return replace(sr, form=_form_at(T, coeffs, sr.root))
 
 
@@ -245,10 +240,7 @@ def worst_case_mr(T: float, sigma: float | None = None) -> float:
     """Worst-case competitive ratio at horizon T: at a fixed sigma the supremum
     of its form; with sigma=None the constant ratio F#/e# at sigma*(T)."""
     if sigma is None:
-        sr = solve_sigma_mr(T)
-        if not sr.converged:
-            raise NoRootError(f"sigma* solve did not converge at T={T}")
-        return sr.form(0.0)
+        return solve_sigma_mr(T).form(0.0)
     return regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T)).sup
 
 
@@ -306,12 +298,14 @@ def solve_fueltax(T: float, *, guess=None) -> tuple[SolveResult, SolveResult]:
     relative to F0.  guess is as in solve_sigma_mr.
     """
     coeffs, lams = _coeffs_at_zero(T), {}
-    sr = find_root(_fueltax_residual(T, coeffs, lams), *(guess or _start(_FUELTAX_START, T)))
+    sr = _root_in_sigma(T, _fueltax_residual(T, coeffs, lams), coeffs, _FUELTAX_START, guess)
     lam, lam_lo, lam_hi = (lams[s] for s in (sr.root, sr.bracket_lo, sr.bracket_hi))
     form = _form_at(T, coeffs, sr.root, lam)
     r = form(0.0) - 1.0
-    converged = sr.converged and abs(r) <= F_TOL
-    return SolveResult(lam, r, sr.iterations, lam_lo, lam_hi, converged, form), sr
+    if not abs(r) <= F_TOL:
+        raise NoRootError(f"the taxed cost ratio at sigma_ft={sr.root!r}, lambda*={lam!r} "
+                          f"is 1 + {r!r}, not 1 within {F_TOL}, at T={T!r}")
+    return SolveResult(lam, r, sr.iterations, lam_lo, lam_hi, form), sr
 
 
 def certify_constant_mr(T: float, sigma: float, a_values=A_GRID_DEFAULT) -> float:
@@ -360,12 +354,11 @@ def _solve_point(quantity: str, T: float, guess) -> tuple[dict, SolveResult]:
     """The sweep record at T and the sigma solve behind it."""
     if quantity == "fueltax":
         lam_r, sig_r = solve_fueltax(T, guess=guess)
-        return {"T": T, "lambda_star": lam_r.root, "sigma_ft": sig_r.root,
-                "converged": lam_r.converged and sig_r.converged}, sig_r
+        return {"T": T, "lambda_star": lam_r.root, "sigma_ft": sig_r.root}, sig_r
     sr = solve_sigma_mr(T, guess=guess)
-    # the form lets figure 2 reuse sigma* without a quadrature
-    return {"T": T, "sigma_star": sr.root, "mr_star_optimal": sr.form(0.0), "form": sr.form,
-            "converged": sr.converged}, sr
+    # the ratio's supremum at sigma* spares figure 2 a quadrature at its peak
+    return {"T": T, "sigma_star": sr.root, "mr_star_optimal": sr.form(0.0),
+            "mr_star_sup": sr.form.sup}, sr
 
 
 def sweep(quantity: str, t_grid) -> SweepTable:
@@ -397,7 +390,7 @@ def sweep(quantity: str, t_grid) -> SweepTable:
             rec, sr = _solve_point(quantity, T, _guess(log_T, roots, slope))
         except Exception as exc:  # recorded, sweep continues
             rec = {"T": T, "error": f"{type(exc).__name__}: {exc}"}
-        if rec.get("converged"):
+        else:
             roots.append((log_T, math.log(sr.root)))
             slope = sr.slope
         records.append(rec)

@@ -69,7 +69,7 @@ def test_c3_constant_multiplicative_regret():
     spread = ac.certify_constant_mr(2.0, r.root, a_values=(0.0, 0.5, 1.0, 2.0, 5.0, 10.0))
     report(
         3,
-        r.converged and spread <= 1e-6,
+        abs(r.residual) <= 1e-9 and spread <= 1e-6,
         f"sigma*(T=2)={r.root:.6f}, regret spread {spread:.2e} incl. large-drift limit",
     )
 

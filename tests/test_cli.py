@@ -108,8 +108,10 @@ def test_figures_2_says_why_every_point_failed(tmp_path, capsys):
     )
     assert code == 4
     assert err.splitlines() == [
-        "warning: T=1e-70: NoRootError: f(1.962466e+35) = -inf is not finite",
-        "warning: T=1e-69: NoRootError: f(6.205862390639999e+34) = -inf is not finite",
+        "warning: T=1e-70: NoRootError: F0 underflows to 0 at sigma=1.962466e+35, T=1e-70, "
+        "so the residual is not finite",
+        "warning: T=1e-69: NoRootError: F0 underflows to 0 at sigma=6.205862390639999e+34, "
+        "T=1e-69, so the residual is not finite",
         "error: 2/2 sweep points failed",
     ]
     lines = (tmp_path / "fig2.csv").read_text().splitlines()
@@ -117,21 +119,22 @@ def test_figures_2_says_why_every_point_failed(tmp_path, capsys):
     assert [line.split(",")[1:] for line in lines[1:]] == [["", ""], ["", ""]]
 
 
-def test_figures_leave_an_unconverged_point_empty(tmp_path, capsys, monkeypatch):
-    # the fuel-tax solve at T = 1e-3 made to return its lambda* unconverged
+def test_figures_leave_a_failed_point_empty(tmp_path, capsys, monkeypatch):
+    # the fuel-tax solve at T = 1e-3 made to raise NoRootError
     solve = solvers.solve_fueltax
 
-    def unconverged_at_1e_3(T, **kwargs):
-        lam_r, sig_r = solve(T, **kwargs)
-        return dataclasses.replace(lam_r, converged=T != 1e-3), sig_r
+    def failing_at_1e_3(T, **kwargs):
+        if T == 1e-3:
+            raise NoRootError("no root at 1e-3")
+        return solve(T, **kwargs)
 
-    monkeypatch.setattr(solvers, "solve_fueltax", unconverged_at_1e_3)
+    monkeypatch.setattr(solvers, "solve_fueltax", failing_at_1e_3)
     code, _, err = run_cli(
         capsys, "figures", "--which", "3", "--grid", "1e-3,2", "--out", str(tmp_path)
     )
     assert code == 4
     assert err.splitlines() == [
-        "warning: T=0.001: the solve did not converge",
+        "warning: T=0.001: NoRootError: no root at 1e-3",
         "error: 1/2 sweep points failed",
     ]
     lines = (tmp_path / "fig3.csv").read_text().splitlines()
@@ -293,12 +296,19 @@ def test_regret_fueltax(capsys):
     assert max(data["cost_ratio"]) == pytest.approx(1.0, abs=1e-6)
 
 
-def test_regret_fueltax_unconverged_exits_4(capsys, monkeypatch):
-    solve = cli.solve_fueltax
-    monkeypatch.setattr(cli, "solve_fueltax",
-                        lambda T: tuple(dataclasses.replace(r, converged=False) for r in solve(T)))
+def test_regret_fueltax_off_ratio_exits_4(capsys, monkeypatch):
+    # the taxed ratio at the sigma root made to miss 1: the solve raises
+    form_at = solvers._form_at
+
+    def off(*args):
+        form = form_at(*args)
+        return dataclasses.replace(form, alpha=form.alpha * (1.0 + 1e-6))
+
+    monkeypatch.setattr(solvers, "_form_at", off)
     code, out, err = run_cli(capsys, "regret", "--mode", "fueltax", "--T", "1e-3")
-    assert (code, out, err) == (4, "", "error: fuel-tax solve did not converge at T=0.001\n")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: the taxed cost ratio at sigma_ft=") and err.count("\n") == 1
+    assert err.endswith(", not 1 within 1e-09, at T=0.001\n")
 
 
 def test_regret_at_small_horizons(capsys):
@@ -367,6 +377,37 @@ def test_a_full_stdout_is_exit_2_in_one_line():
         res = _acl_process(["gains", "--T", "2", "--t", "0.5"], full)
     assert res.returncode == 2
     assert res.stderr == b"error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["regret", "--help"]])
+def test_help_and_version_to_a_full_stdout_exit_2(argv):
+    # argparse drops the OSError of its own write; acl reports it as for any output
+    with open("/dev/full", "wb") as full:
+        res = _acl_process(argv, full)
+    assert res.returncode == 2
+    assert res.stderr == b"error: cannot write stdout: No space left on device\n"
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("monte_carlo_cost", ["simulate", "--strategy", "bayes", "--sigma", "1.5", "--a", "1",
+                          "--T", "2", "--dt", "0.001", "--paths", "100"]),
+    ("sweep", ["figures", "--which", "1", "--out", "OUT"]),
+    ("solve_sigma_mr", ["regret", "--mode", "multiplicative", "--T", "2"]),
+    ("gains", ["gains", "--T", "2", "--t", "0.5"]),
+])
+def test_ctrl_c_is_exit_130_in_one_line(monkeypatch, capsys, tmp_path, target, argv):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, target, interrupted)
+    argv = [str(tmp_path) if a == "OUT" else a for a in argv]
+    try:
+        result = run_cli(capsys, *argv)
+    except KeyboardInterrupt:  # failed here, not as an interrupt of the test session
+        pytest.fail("KeyboardInterrupt escaped cli.main")
+    assert result == (130, "", "error: interrupted\n")
+    assert not os.listdir(tmp_path)
 
 
 def test_regret_additive_requires_t0(capsys):

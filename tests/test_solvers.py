@@ -1,6 +1,7 @@
 """Root-finding layer: sigma* for constant competitive ratio, worst-case MR,
 the fuel-tax solve, and horizon sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from agnostic_control import solvers
 
 def test_find_root_simple():
     r = find_root(lambda x: x * x - 2.0, 1.0, 1.0)
-    assert r.converged
+    assert abs(r.residual) <= F_TOL
     assert r.root == pytest.approx(2 ** 0.5, rel=1e-9)
     assert r.bracket_lo <= r.root <= r.bracket_hi
     assert r.iterations <= 200
@@ -60,29 +61,35 @@ def test_find_root_halves_an_end_kept_twice():
     # x^4 - 16 is convex, so the secant keeps the end at 4; without the halving
     # the search takes 17 evaluations, and on x^10 - 1024 it reaches _MAX_ITER
     r = find_root(lambda x: x ** 4 - 16.0, 1.0, 4.0)
-    assert r.converged and r.root == pytest.approx(2.0, rel=1e-9)
-    assert r.iterations <= 15
+    assert abs(r.residual) <= F_TOL and r.root == pytest.approx(2.0, rel=1e-9)
+    assert r.iterations == 14
     r = find_root(lambda x: x ** 10 - 1024.0, 1.0, 10.0)
-    assert r.converged and r.root == pytest.approx(2.0, rel=1e-9)
-    assert r.iterations <= 25
+    assert abs(r.residual) <= F_TOL and r.root == pytest.approx(2.0, rel=1e-9)
+    assert r.iterations == 21
 
 
 def test_find_root_bisects_when_the_secant_is_not_finite():
     # the first step is cut to a factor of 4, onto -inf: the secant through it
     # is not finite, so the bracket [1, 4] is bisected
     r = find_root(lambda x: 2.0 - x if x <= 3.0 else -math.inf, 1.0, -0.1)
-    assert r.converged and r.root == pytest.approx(2.0, rel=1e-9)
+    assert abs(r.residual) <= F_TOL and r.root == pytest.approx(2.0, rel=1e-9)
     assert 1.0 <= r.bracket_lo <= r.root <= r.bracket_hi <= 4.0
+    assert r.iterations == 3
 
 
 def test_find_root_stops_when_the_bracket_closes():
     # a step has no point with |f| <= F_TOL: once the bracket has closed to
-    # adjacent floats around it, the search stops unconverged, not at _MAX_ITER
+    # adjacent floats in log x around c, the search raises, not at _MAX_ITER
     for c in (2.0, 0.9, 37.5, 1e-3):
-        r = find_root(lambda x: 1.0 if x > c else -1.0, c / 3.0, 1.0)
-        assert not r.converged and r.iterations <= 64, c
-        assert r.bracket_lo <= c < r.bracket_hi <= r.bracket_lo + 4.0 * math.ulp(c), c
-        assert r.root in (r.bracket_lo, r.bracket_hi), c
+        with pytest.raises(NoRootError, match=r"the bracket closed on \[") as exc:
+            find_root(lambda x: 1.0 if x > c else -1.0, c / 3.0, 1.0)
+        scan = exc.value.scan
+        assert len(scan) <= 64, c
+        # the nearest points evaluated on either side of c
+        lo = max(x for x, fx in scan if fx < 0.0)
+        hi = min(x for x, fx in scan if fx > 0.0)
+        assert lo <= c < hi <= lo + 4.0 * math.ulp(c), c
+        assert f"[{lo!r}, {hi!r}]" in str(exc.value), c
 
 
 def test_find_root_walks_from_its_start():
@@ -99,7 +106,7 @@ def test_find_root_walks_from_its_start():
     # a good start: secant steps from it, no bracket; the bracket is the span
     # of the iterates, and the slope the last secant's (df/dlog x = 2x^2)
     r, evals = solve(1.415, 4.0)
-    assert r.converged and abs(r.residual) <= F_TOL and r.root == pytest.approx(2 ** 0.5, rel=1e-9)
+    assert abs(r.residual) <= F_TOL and r.root == pytest.approx(2 ** 0.5, rel=1e-9)
     assert r.iterations == len(evals) <= 4 and r.root == evals[-1]
     assert (r.bracket_lo, r.bracket_hi) == (min(evals), max(evals))
     assert r.slope == pytest.approx(4.0, rel=1e-3)
@@ -108,7 +115,7 @@ def test_find_root_walks_from_its_start():
     # slope gives no finite step
     for x, slope in ((1e-3, 4.0), (1e3, 4.0), (0.5, math.nan), (0.5, 0.0), (0.5, math.inf)):
         r, evals = solve(x, slope)
-        assert r.converged and r.root == pytest.approx(2 ** 0.5, rel=1e-9), (x, slope)
+        assert abs(r.residual) <= F_TOL and r.root == pytest.approx(2 ** 0.5, rel=1e-9), (x, slope)
         crossed = next((i for i, v in enumerate(evals) if (v > 2 ** 0.5) != (x > 2 ** 0.5)),
                        len(evals) - 1)
         steps = [b / a if x < 1.0 else a / b for a, b in zip(evals, evals[1:crossed + 1])]
@@ -157,8 +164,8 @@ def test_sweep_continuation_matches_cold_solves(quantity, grid):
     key = "sigma_ft" if quantity == "fueltax" else "sigma_star"
     for w, c in zip(warm, cold):
         T = w["T"]
-        assert w.get("error") == c.get("error") and w.get("converged") == c.get("converged"), T
-        if not w.get("converged"):
+        assert w.get("error") == c.get("error"), T
+        if "error" in w:
             continue
         sigma = w[key]
         coeffs = solvers._coeffs_at_zero(T)
@@ -170,7 +177,7 @@ def test_sweep_continuation_matches_cold_solves(quantity, grid):
             assert abs(solvers._sigma_mr_residual(T, coeffs)(sigma)) <= F_TOL, T
         if grid is T_GRID_DEFAULT:
             assert sigma == pytest.approx(c[key], rel=1e-9 if quantity == "fueltax" else 1e-6), T
-    assert any(w.get("converged") for w in warm)
+    assert any("error" not in w for w in warm)
     assert ("error" in warm[0]) == (grid[0] == 1e-70)
 
 
@@ -197,9 +204,12 @@ def test_a_failing_guess_raises_the_scan_error():
     for solve, start, guess in ((solve_sigma_mr, solvers._SIGMA_MR_START, (2e3, -1.0)),
                                 (solve_fueltax, solvers._FUELTAX_START, (0.5, -1.0))):
         for g in (None, guess):
-            with pytest.raises(NoRootError, match="is not finite") as exc:
+            sigma = (g or solvers._start(start, 1e-70))[0]
+            message = f"F0 underflows to 0 at sigma={sigma!r}, T=1e-70, so the residual is not finite"
+            with pytest.raises(NoRootError) as exc:
                 solve(1e-70, guess=g)
-            assert exc.value.scan == [((g or solvers._start(start, 1e-70))[0], -math.inf)]
+            assert str(exc.value) == message
+            assert exc.value.scan == [(sigma, -math.inf)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -225,7 +235,7 @@ def test_solves_converge_from_tiny_to_huge_horizons():
     for T in np.logspace(-8.0, 10.0, 73):
         sr = solve_sigma_mr(float(T))
         lam_r, sig_r = solve_fueltax(float(T))
-        assert sr.converged and lam_r.converged and sig_r.converged, T
+        assert max(abs(sr.residual), abs(lam_r.residual), abs(sig_r.residual)) <= F_TOL, T
         assert max(sr.iterations, sig_r.iterations) <= 20, T
     assert solve_sigma_mr(1e10).root == pytest.approx(0.2289502, rel=1e-6)
     assert solve_sigma_mr(1e-4).root == pytest.approx(196.24659, rel=1e-6)
@@ -245,14 +255,27 @@ def test_fueltax_solve_converges_where_the_differences_cancelled():
     # at T = 1e-3 e#_lambda - e# and e0_lambda - e0 are differences of numbers
     # near T^2/2 and T^3/3; formed from their series, the solve converges
     lam_r, sig_r = solve_fueltax(1e-3)
-    assert lam_r.converged and sig_r.converged
+    assert abs(lam_r.residual) <= F_TOL and abs(sig_r.residual) <= F_TOL
     assert sig_r.iterations <= 6
     assert lam_r.root == pytest.approx(1.2876026533, rel=1e-7)
 
 
+def test_fueltax_solve_raises_where_the_ratio_misses_1(monkeypatch):
+    # a sigma root whose taxed ratio at a = 0 is off 1 by more than F_TOL is
+    # no solve: NoRootError, never a result to check
+    form_at = solvers._form_at
+
+    def off(*args):
+        form = form_at(*args)
+        return dataclasses.replace(form, alpha=form.alpha * (1.0 + 1e-6))
+
+    monkeypatch.setattr(solvers, "_form_at", off)
+    with pytest.raises(NoRootError, match=r"the taxed cost ratio at sigma_ft=.* is 1 \+ "):
+        solve_fueltax(2.0)
+
+
 def test_sigma_mr_certified_constant():
     r = solve_sigma_mr(2.0)
-    assert r.converged
     assert abs(r.residual) <= 1e-9
     spread = certify_constant_mr(2.0, r.root, a_values=(0.0, 0.5, 1.0, 2.0, 5.0, 10.0))
     assert spread <= 1e-6
@@ -281,7 +304,7 @@ def test_worst_case_mr_fixed_sigma_dominates_optimal():
 
 def test_fueltax_at_reference_horizon():
     lam_r, sig_r = solve_fueltax(2.0)
-    assert lam_r.converged and sig_r.converged
+    assert abs(lam_r.residual) <= F_TOL and abs(sig_r.residual) <= F_TOL
     assert 1.25 <= lam_r.root <= 1.35
 
 
@@ -290,7 +313,7 @@ def test_fueltax_solution_meets_both_constancy_conditions(T):
     # (sigma_ft, lambda*) solves the nested formulation: the taxed ratio is
     # constant in the drift, (e0 + F0)/e0_lam = F#/e#_lam, and that constant is 1
     lam_r, sig_r = solve_fueltax(T)
-    assert lam_r.converged and sig_r.converged
+    assert abs(lam_r.residual) <= F_TOL and abs(sig_r.residual) <= F_TOL
     spec = ProblemSpec(horizon=T)
     e0 = gains(0.0, spec).e0
     g_lam = gains(0.0, spec.with_fuel_weight(lam_r.root))
@@ -303,7 +326,7 @@ def test_fueltax_solution_meets_both_constancy_conditions(T):
 def test_fueltax_takes_a_numpy_horizon():
     # numpy scalars warn on overflow, which a numpy horizon must not reach
     lam_r, sig_r = solve_fueltax(np.float64(2.0))
-    assert lam_r.converged and sig_r.converged
+    assert abs(lam_r.residual) <= F_TOL and abs(sig_r.residual) <= F_TOL
     assert lam_r.root == pytest.approx(solve_fueltax(2.0)[0].root, rel=1e-12)
 
 
@@ -312,7 +335,7 @@ def test_fueltax_lambda_tends_to_its_small_horizon_limit_like_t_squared(T):
     # lambda*(0) = 1.2876026533 from the matched small-T asymptotics (mpmath);
     # the gap closes like T^2, with a coefficient of about 0.0134
     lam_r, sig_r = solve_fueltax(T)
-    assert lam_r.converged and sig_r.converged
+    assert abs(lam_r.residual) <= F_TOL and abs(sig_r.residual) <= F_TOL
     assert 0.0133 <= (lam_r.root - 1.2876026533) / T ** 2 <= 0.0135
 
 
@@ -323,9 +346,11 @@ def test_sweep_records_and_determinism():
     assert [rec["T"] for rec in t1.records] == list(grid)
     assert t1.records == t2.records  # bit-identical
     for rec in t1.records:
-        assert "error" not in rec
-        assert rec["converged"]
-        assert rec["mr_star_optimal"] == rec["form"](0.0)
+        # plain floats, the ratio and its supremum those of the form at sigma*
+        assert set(rec) == {"T", "sigma_star", "mr_star_optimal", "mr_star_sup"}
+        assert all(type(v) is float for v in rec.values())
+        form = regret_form(GaussianPrior(rec["sigma_star"]), ProblemSpec(horizon=rec["T"]))
+        assert (rec["mr_star_optimal"], rec["mr_star_sup"]) == (form(0.0), form.sup)
 
 
 def test_sweep_rejects_bad_grid():
