@@ -144,32 +144,57 @@ def _h_unit(s: float) -> float:
     return -z * _taylor(_H_NUMERATOR, z) / math.cosh(s)
 
 
-def e_sharp_gap(horizon: float, lam: float) -> float:
-    """e#_lam - e# at t = 0: what a fuel weight lam >= 1, inf included, adds
-    to the known-a opponent's cost at a = 0.
+def _exp_terms(T: float, mu: float, r: float) -> tuple[float, float]:
+    """(e^{-2s}, 1 - e^{-2(T - s)}) for s = T/r, r = sqrt(1 + mu), with T - s
+    = T mu/(r (1 + r)) formed from mu, so that it keeps its relative precision
+    as mu -> 0."""
+    return math.exp(-2.0 * T / r), -math.expm1(-2.0 * T * mu / (r * (1.0 + r)))
+
+
+def e_sharp_gap(horizon: float, mu: float) -> float:
+    """e#_lam - e# at t = 0: what a fuel weight lam = 1 + mu, mu >= 0 (inf
+    included), adds to the known-a opponent's cost at a = 0.
 
     With s = T/sqrt(lam) and g(s) = log cosh s - s^2/2 it is lam g(s) - g(T):
     the T^2/2 that both costs hold cancels exactly.  Below T = 1 it is formed
     so, as T^2 (g(s)/s^2 - g(T)/T^2), and keeps its relative precision as
-    T -> 0; from T = 1 up, where T^2/2 outgrows the gap, it is
-    lam log cosh s - log cosh T.
+    T -> 0.  From T = 1 up, where T^2/2 outgrows the gap, it is taken in mu,
+    which 1 + mu would round away as T grows and lambda* -> 1: with
+    log cosh x = x - log 2 + l(x), l(x) = log1p(e^{-2x}), it is
+        mu (T/(1 + sqrt lam) - log 2 + l(s)) + l(s) - l(T),
+    l(s) - l(T) = log1p(e^{-2s} (1 - e^{-2(T - s)})/(1 + e^{-2T})).  Below
+    s = 0.5, where those terms cancel and mu is large, it is lam log cosh s -
+    log cosh T.
     """
     T = horizon
-    s = T / math.sqrt(lam)  # 0 at lam = inf
+    r = math.sqrt(1.0 + mu)
+    s = T / r  # 0 at mu = inf
     if T < 1.0:
         return T * T * (_g_unit(s) - _g_unit(T))
-    return (lam * log_cosh(s) if s else 0.5 * T * T) - log_cosh(T)
+    if s < 0.5:
+        return ((1.0 + mu) * log_cosh(s) if s else 0.5 * T * T) - log_cosh(T)
+    es, ds = _exp_terms(T, mu, r)
+    l_gap = math.log1p(es * ds / (1.0 + math.exp(-2.0 * T)))
+    return mu * (T / (1.0 + r) - _LOG2 + math.log1p(es)) + l_gap
 
 
-def e0_gap(horizon: float, lam: float) -> float:
-    """e0_lam - e0 at t = 0, what the fuel weight adds to the a^2 term, formed
-    as in e_sharp_gap from h(s) = s - tanh s - s^3/3: T^3 (h(s)/s^3 -
-    h(T)/T^3) below T = 1, lam^{3/2} (s - tanh s) - (T - tanh T) from T = 1 up."""
+def e0_gap(horizon: float, mu: float) -> float:
+    """e0_lam - e0 at t = 0, lam = 1 + mu, what the fuel weight adds to the a^2
+    term, formed as in e_sharp_gap from h(s) = s - tanh s - s^3/3: T^3 (h(s)/s^3
+    - h(T)/T^3) below T = 1.  From T = 1 up, as lam^{3/2} s = lam T, it is
+        mu T - ((1 + mu)^{3/2} - 1) tanh s + tanh T - tanh s,
+    tanh T - tanh s = 2 e^{-2s} (1 - e^{-2(T - s)})/((1 + e^{-2T}) (1 + e^{-2s})),
+    and below s = 0.5 lam^{3/2} (s - tanh s) - (T - tanh T)."""
     T = horizon
-    s = T / math.sqrt(lam)
+    r = math.sqrt(1.0 + mu)
+    s = T / r
     if T < 1.0:
         return T * T * T * (_h_unit(s) - _h_unit(T))
-    return (lam * math.sqrt(lam) * e0_unit(s) if s else T * T * T / 3.0) - e0_unit(T)
+    if s < 0.5:
+        return ((1.0 + mu) * r * e0_unit(s) if s else T * T * T / 3.0) - e0_unit(T)
+    es, ds = _exp_terms(T, mu, r)
+    th_gap = 2.0 * es * ds / ((1.0 + math.exp(-2.0 * T)) * (1.0 + es))
+    return mu * T - math.expm1(1.5 * math.log1p(mu)) * math.tanh(s) + th_gap
 
 
 def _check_time(t: float, spec: ProblemSpec) -> None:

@@ -13,6 +13,12 @@ with (writing p = sigma^-2, p = 0 for the improper prior)
 The F# form follows from swapping the order of integration in its defining
 double integral.  perf_coeffs evaluates both by Gauss-Legendre quadrature;
 the independent cross-check perf_coeffs_rk4 integrates the coefficient ODEs.
+The prior enters the integrands only through 1/(tau + p)^2, so the
+quadrature is split in two: _node_table builds the nodes, e1^2/4 and the
+panel widths for t, T and an anchor a, and _coeffs_from evaluates them at any
+c = t + p, reweighting each node by ((1 + x)/(x + c/a))^2 off the anchor.  A
+root solve over sigma builds one table and evaluates every sigma it tries
+from it.
 
 From q(0) = 0 our expected cost and the informed opponent's are even
 quadratics in a, so every regret is one Mobius function of a^2, monotone from
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -69,72 +76,116 @@ def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[floa
 
 def _f0_and_tail(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
     """(F0(t), F#(t) - log cosh(T - t)): perf_coeffs with the quadrature's tail
-    apart from e_sharp(t), so that F# - e_sharp carries no cancellation."""
+    apart from e_sharp(t), so that F# - e_sharp carries no cancellation.  It
+    evaluates a node table at its own anchor c = t + precision."""
     _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
-    t, precision, horizon = float(t), prior.precision, spec.horizon
-    # In w = log1p((tau - t)/c), c = t + p, with x = expm1(w) = (tau - t)/c (no
-    # cancellation) and d tau / (tau + p)^2 = dw / (c (1 + x)), the integrands
-    #     F0 = c int e1^2/4 / (1 + x) dw,   F# - e_sharp = int e1^2/4 x / (1 + x) dw
-    # are smooth in w for every prior width.
+    t = float(t)
+    c = t + prior.precision
+    return _coeffs_from(_node_table(t, c, spec.horizon), c)
+
+
+class _NodeTable(NamedTuple):
+    """Quadrature nodes at time t for horizon T, anchored at a: the half-width
+    of each panel in w, and per node x = (tau - t)/a, 1 + x, and in one array
+    g = e1^2/4 / (1 + x) and g x."""
+
+    t: float
+    a: float
+    horizon: float
+    half: np.ndarray
+    x: np.ndarray
+    one_plus_x: np.ndarray
+    g_and_gx: np.ndarray
+
+
+def _node_table(t: float, a: float, horizon: float) -> _NodeTable:
+    """The nodes of the F0/F# quadrature from t to T in w = log1p((tau - t)/a),
+    the part of it that does not depend on the prior; _coeffs_from evaluates
+    it at any c = t + precision near the anchor a.  SingularityError when a is
+    0 or (T - t)/a overflows."""
+    # With x = expm1(w) = (tau - t)/a (no cancellation) and d tau = a (1 + x) dw,
+    # the integrands are smooth in w for every prior width.
     span = horizon - t
-    if span == 0.0:
-        return 0.0, 0.0
-    c = t + precision
-    # F# ~ log(span / c) diverges at c = 0; `c == 0.0 or` keeps the division from raising
-    if c == 0.0 or span / c == math.inf:
+    if span == 0.0:  # no panels: every sum is 0
+        empty = np.empty((0, _NODES.size))
+        return _NodeTable(t, a, horizon, np.empty(0), empty, empty, np.empty((2,) + empty.shape))
+    # F# ~ log(span / a) diverges at a = 0; `a == 0.0 or` keeps the division from raising
+    if a == 0.0 or span / a == math.inf:
         raise SingularityError(
-            f"F# diverges: (T - t)/(t + precision) overflows at t={t}, precision={precision}"
+            f"F# diverges: (T - t)/(t + precision) overflows at t={t}, t + precision={a}"
         )
     # Near the horizon e1 rises over s ~ 1, so the panels there are equal in
     # tau (mapped to w) up to s = 20; beyond, e1 is flat and they are equal in w.
     s_near = min(span, _S_EDGE)
-    panels = np.log1p((span - s_near + s_near * _PANEL_EDGES) / c)
+    panels = np.log1p((span - s_near + s_near * _PANEL_EDGES) / a)
     if span > _S_EDGE:
         panels = np.concatenate([panels[0] * _PANEL_EDGES[:-1], panels])
-    # A tiny c stretches the first panels over w ~ log(s_near / c); split any
+    # A tiny a stretches the first panels over w ~ log(s_near / a); split any
     # panel wider than _W_MAX into equal parts.
     widths = panels[1:] - panels[:-1]
     if widths.max() > _W_MAX:
         parts = np.ceil(widths / _W_MAX).astype(int)
         panels = np.concatenate(
-            [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(panels[:-1], panels[1:], parts)]
+            [np.linspace(lo, hi, k, endpoint=False) for lo, hi, k in zip(panels[:-1], panels[1:], parts)]
             + [panels[-1:]]
         )
         widths = panels[1:] - panels[:-1]
     # One row of nodes per panel, each array formed in place: x, s = T - tau,
-    # g = e1^2/4 / (1 + x) in the tanh(s) array, and g x in the x array.
+    # 1 + x in the s array, and g and g x.
     half = 0.5 * widths
     x = np.multiply(half[:, None], _ONE_PLUS_NODES)
     x += panels[:-1, None]
     np.expm1(x, out=x)
-    s = np.multiply(x, c)
+    g_and_gx = np.empty((2,) + x.shape)
+    g, gx = g_and_gx
+    s = np.multiply(x, a)
     np.subtract(span, s, out=s)
-    g = np.tanh(s)
+    np.tanh(s, out=g)
     s *= 0.5
     np.tanh(s, out=s)
     # (tanh s tanh(s/2))^2 is e1_unit(s)^2 / 4 to the bit: scaling by 2 and by
     # 0.25 is exact while the square is a normal float
     g *= s
     g *= g
-    np.add(x, 1.0, out=s)
-    g /= s
-    x *= g
-    i0_terms = half @ g
-    i0_terms *= _WEIGHTS
-    tail_terms = half @ x
-    tail_terms *= _WEIGHTS
-    i0, i0_half = np.add.reduce(i0_terms[:_N_NODES]), np.add.reduce(i0_terms[_N_NODES:])
-    tail, tail_half = np.add.reduce(tail_terms[:_N_NODES]), np.add.reduce(tail_terms[_N_NODES:])
-    f_sharp = log_cosh(span) + tail
+    one_plus_x = np.add(x, 1.0, out=s)
+    g /= one_plus_x
+    np.multiply(g, x, out=gx)
+    return _NodeTable(t, a, horizon, half, x, one_plus_x, g_and_gx)
+
+
+def _coeffs_from(table: _NodeTable, c: float) -> tuple[float, float]:
+    """(F0, F# - e_sharp) at table.t for the prior with t + precision = c.
+
+    With tau - t = a x and tau + p = a (x + c/a), d tau / (tau + p)^2 is
+    ((1 + x)/(x + c/a))^2 dw / (a (1 + x)), so off the anchor a, g and g x
+    take that factor at each node, and at c = a, where it is 1, none.  Then
+        F0 = (c/a) c int g dw,   F# - e_sharp = int g x dw.
+    The factor is smooth and near 1 for c/a in [1/2, 2], where the result
+    stays within 1e-13 of a table anchored at c.  QuadratureError when the
+    rule at half the nodes disagrees by over 1e-10 relative."""
+    g_and_gx = table.g_and_gx
+    if c != table.a:
+        factor = table.x + c / table.a
+        np.divide(table.one_plus_x, factor, out=factor)
+        factor *= factor
+        g, gx = g_and_gx = np.empty_like(g_and_gx)
+        np.multiply(table.g_and_gx[0], factor, out=g)
+        np.multiply(g, table.x, out=gx)
+    # both integrands' terms at once: row 0 for I0 = int g dw, row 1 for the tail
+    terms = table.half @ g_and_gx
+    terms *= _WEIGHTS
+    i0, tail = np.add.reduce(terms[:, :_N_NODES], axis=1).tolist()
+    i0_half, tail_half = np.add.reduce(terms[:, _N_NODES:], axis=1).tolist()
+    f_sharp = log_cosh(table.horizon - table.t) + tail
     # written as `not x <= tol` so that NaN fails the check
     if not (abs(i0 - i0_half) <= _EST_RTOL * i0 and abs(tail - tail_half) <= _EST_RTOL * f_sharp):
         raise QuadratureError(
-            f"{_N_NODES}- and {_N_NODES // 2}-node rules disagree at t={t}, precision="
-            f"{precision}, T={horizon}: I0 {i0} vs {i0_half}, tail {tail} vs {tail_half}"
+            f"{_N_NODES}- and {_N_NODES // 2}-node rules disagree at t={table.t}, t + precision="
+            f"{c}, T={table.horizon}: I0 {i0} vs {i0_half}, tail {tail} vs {tail_half}"
         )
-    return float(c * i0), float(tail)
+    return c / table.a * c * i0, tail
 
 
 def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:

@@ -7,7 +7,10 @@ width sigma* achieving that balance, and the form there; worst_case_mr
 evaluates the resulting ratio.  The fuel-tax variant asks both of those
 ratios to equal 1 against an opponent taxed at lambda: the a=0 condition
 gives lambda(sigma) by a short Newton iteration, so solve_fueltax is again one
-root in sigma.  A solve integrates F0 and F# - e# once for each sigma it tries.
+root in sigma.  A solve evaluates F0 and F# - e# once for each sigma it tries,
+all from one node table (performance._node_table) built at the first sigma
+it tries, and builds another only if its precision leaves [1/2, 2] times the
+table's anchor.
 
 Both residuals are scale-free.  The sigma* balance, F0/e0 = (F# - e#)/e#, is
 zeroed as 1 - ((F# - e#)/e#)/(F0/e0); the fuel-tax one as 1 - (e0_lambda -
@@ -23,15 +26,18 @@ then on it stays inside that bracket, falling back to the Illinois method
 value of an end kept twice in a row.  A solve returns a converged root or
 raises NoRootError.  As T -> 0 the roots follow sigma sqrt(T) -> C, 1.962466
 for sigma* and 1.5212 for sigma_ft; a single solve starts at sigma_0(T) =
-C (1 + T/25)/sqrt(T), within 4 % of both roots over [0.1, 20], and takes its
-first step along the residual's slope in log sigma there.
+C (1 + T/25)/sqrt(T), within 4 % of both roots over [0.1, 20], and past T =
+20 at K (log10 T)^m, a fit within 1.1 % of each root up to T = 1e10 (0.916
+(log10 T)^-0.602 for sigma*, 0.726 (log10 T)^-0.647 for sigma_ft).  It takes
+its first step along the residual's small-T slope in log sigma.
 
 A sweep continues along the curve it solves (Allgower & Georg, Numerical
 Continuation Methods, 1990), as a predictor-corrector: sigma moves smoothly
 with the horizon, so each point's solve starts from a guess of log sigma
 extrapolated, in (log T, log sigma), from the roots converged before it, and
 corrects it by secant steps from the residual's slope in log sigma that the
-last solve measured.  About three quadratures settle a point.
+last solve measured.  About three evaluations of one node table settle a
+point.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import numpy as np
 from .bayes import GaussianPrior
 from .errors import DomainError, NoRootError
 from .model import ProblemSpec, e0_gap, e_sharp_gap, log_cosh, own_gains
-from .performance import A_GRID_DEFAULT, RegretForm, _f0_and_tail, regret_form
+from .performance import A_GRID_DEFAULT, RegretForm, _coeffs_from, _node_table, regret_form
 
 #: Most Newton steps _taxed_opponent takes for the fuel weight.
 _NEWTON_MAX = 64
@@ -55,10 +61,14 @@ F_TOL = 1e-9
 _MAX_ITER = 200
 #: Widest step find_root takes before a sign change: a factor of 4 in x.
 _STEP_MAX = math.log(4.0)
-#: (C, slope) of each solve's start: sigma sqrt(T) at the root and the
-#: residual's slope in log sigma there, both as T -> 0.
-_SIGMA_MR_START = (1.962466, -3.37)
-_FUELTAX_START = (1.5212, -3.5)
+#: (C, slope, K, m) of each solve's start: sigma sqrt(T) at the root and the
+#: residual's slope in log sigma there, both as T -> 0; past T = 20 the roots
+#: follow K (log10 T)^m, within 1.1 % up to T = 1e10.
+_SIGMA_MR_START = (1.962466, -3.37, 0.916, -0.602)
+_FUELTAX_START = (1.5212, -3.5, 0.726, -0.647)
+#: Range of c/a, a prior precision c over a node table's anchor a, over which
+#: a solve evaluates the table it has instead of building one at c.
+_REANCHOR = (0.5, 2.0)
 
 #: Default horizon grid behind the figure sweeps: 40 log-spaced points
 #: covering all qualitative features (regret peak near T=2, both tails).
@@ -171,31 +181,39 @@ def find_root(f: Callable[[float], float], x: float, slope: float) -> SolveResul
     return SolveResult(scan[-1][0], fx, len(scan), lo, hi, slope=m)
 
 
-def _start(start: tuple[float, float], T: float) -> tuple[float, float]:
-    """(sigma_0(T), slope) for a single solve from start = (C, slope):
-    sigma_0(T) = C (1 + T/25)/sqrt(T).  Past T = 25, where that fit turns up
-    while the roots keep falling, it is held at its least value, 2C/5."""
-    c, slope = start
-    T = min(T, 25.0)
+def _start(start: tuple[float, float, float, float], T: float) -> tuple[float, float]:
+    """(sigma_0(T), slope) for a single solve from start = (C, slope, K, m):
+    sigma_0(T) = C (1 + T/25)/sqrt(T) up to T = 20, and K (log10 T)^m past it,
+    where the first fit turns up while the roots keep falling."""
+    c, slope, k, m = start
+    if T > 20.0:
+        return k * math.log10(T) ** m, slope
     return c * (1.0 + T / 25.0) / math.sqrt(T), slope
 
 
 def _coeffs_at_zero(T: float) -> Callable[[float], tuple[float, float]]:
-    """sigma -> (F0, F# - e#) at t = 0 and horizon T, integrated once per sigma:
-    one solve keeps its own, to read its root and bracket ends back."""
-    spec, seen = ProblemSpec(horizon=T), {}
+    """sigma -> (F0, F# - e#) at t = 0 and horizon T, evaluated once per sigma:
+    one solve keeps its own, to read its root and bracket ends back.  It
+    builds one node table, anchored at the first sigma's precision a, and
+    evaluates every later sigma from it while its precision c has c/a in
+    _REANCHOR; past that it builds a new table anchored at c."""
+    horizon, seen, table = ProblemSpec(horizon=T).horizon, {}, None
 
     def coeffs(sigma: float) -> tuple[float, float]:
+        nonlocal table
         if sigma not in seen:
-            seen[sigma] = _f0_and_tail(0.0, GaussianPrior(sigma), spec)
+            c = GaussianPrior(sigma).precision
+            if table is None or not _REANCHOR[0] <= c / table.a <= _REANCHOR[1]:
+                table = _node_table(0.0, c, horizon)
+            seen[sigma] = _coeffs_from(table, c)
         return seen[sigma]
 
     return coeffs
 
 
 def _form_at(T: float, coeffs, sigma: float, lam: float = 1.0) -> RegretForm:
-    """The ratio form at sigma from the table: F# = log cosh T + tail is the
-    float perf_coeffs returns."""
+    """The ratio form at sigma from the solve's coefficients, with F# = log
+    cosh T + tail formed as perf_coeffs forms it."""
     f0, tail = coeffs(sigma)
     return regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T), lam,
                        coeffs=(f0, log_cosh(T) + tail))
@@ -251,25 +269,26 @@ def _taxed_opponent(T: float, tail: float) -> tuple[float, float]:
     d e#_lambda/d lambda = log cosh s - (s/2) tanh s, s = T/sqrt(lambda), is
     positive and falls as lambda grows, so Newton from lambda = 1 climbs to the
     root without overshooting; it stops within 1e-15 of tail, or at the
-    rounding floor, where the gap stops falling.  e#_lambda stays below its
-    lambda -> inf limit, so when tail is at or past it there is no root:
-    lambda is inf.
+    rounding floor, where the gap stops falling.  It steps mu = lambda - 1,
+    since lambda* -> 1 as T grows and 1 + mu would move e0_lambda - e0 in
+    steps of one rounding of lambda.  e#_lambda stays below its lambda -> inf
+    limit, so when tail is at or past it there is no root: lambda is inf.
     """
     if tail >= e_sharp_gap(T, math.inf):
         return math.inf, e0_gap(T, math.inf)
-    lam, gap = 1.0, tail
+    mu, gap = 0.0, tail
     for _ in range(_NEWTON_MAX):
-        s = T / math.sqrt(lam)
+        s = T / math.sqrt(1.0 + mu)
         th, lc, z = math.tanh(s), log_cosh(s), s * s
         # the difference cancels below s = 1e-3, where the series is exact to 1e-13
         slope = lc - 0.5 * s * th if s >= 1e-3 else z * z * (1.0 / 12.0 - z * (2.0 / 45.0))
         if not (gap > 0.0 and slope > 0.0):
             break
-        lam += gap / slope
-        gap, last = tail - e_sharp_gap(T, lam), gap
+        mu += gap / slope
+        gap, last = tail - e_sharp_gap(T, mu), gap
         if not 1e-15 * tail < gap < last:
             break
-    return lam, e0_gap(T, lam)
+    return 1.0 + mu, e0_gap(T, mu)
 
 
 def _fueltax_residual(T: float, coeffs, lams: dict) -> Callable[[float], float]:
@@ -369,8 +388,8 @@ def sweep(quantity: str, t_grid) -> SweepTable:
     corrector: _guess predicts its sigma from their roots, and find_root
     corrects that by secant steps, from the slope the last converged solve
     measured, until |residual| <= F_TOL.  A point before any has converged
-    starts where a single solve does.  Either way it integrates F0 and F# - e#
-    once for each sigma it tries.
+    starts where a single solve does.  Either way it evaluates F0 and F# - e#
+    once for each sigma it tries, from one node table per horizon.
     """
     if quantity not in ("sigma_mr", "fueltax"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")

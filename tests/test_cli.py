@@ -154,6 +154,19 @@ def test_simulate_known_a(capsys):
     assert abs(data["z_score"]) <= 3.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["--strategy", "known_a", "--a", "1", "--T", "2"],
+    ["--strategy", "known_a", "--a", "1", "--T", "2", "--T0", "0.5"],
+    ["--strategy", "bayes_improper", "--a", "1", "--T", "2", "--T0", "0.5"],
+    ["--strategy", "zero_control", "--a", "1", "--T", "2"],
+], ids=["known_a", "known_a-T0", "bayes_improper", "zero_control"])
+def test_simulate_every_other_strategy(capsys, argv):
+    # each strategy's gain table and analytic cost, at 500 paths of 200 steps
+    code, out, _ = run_cli(capsys, "simulate", *argv, "--dt", "0.01", "--paths", "500")
+    assert code == 0
+    assert math.isfinite(json.loads(out)["z_score"])
+
+
 def test_simulate_reproducible(capsys):
     argv = ["simulate", "--strategy", "bayes", "--sigma", "1", "--a", "0",
             "--T", "1", "--dt", "0.01", "--paths", "500", "--seed", "7"]
@@ -333,19 +346,19 @@ def test_regret_at_small_horizons(capsys):
 def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
     # a solve reads the coefficients at its root and bracket ends back, a
     # regret table evaluates one form, and figure 2 reuses its peak row's form;
-    # every quadrature, the solves', perf_coeffs' and the additive regret's,
-    # passes through performance._f0_and_tail
+    # every coefficient evaluation, the solves', perf_coeffs' and the additive
+    # regret's, passes through performance._coeffs_from
     from agnostic_control import performance
 
     keys = []
-    original = performance._f0_and_tail
+    original = performance._coeffs_from
 
-    def counted(t, prior, spec):
-        keys.append((float(t), prior.precision, spec.horizon))
-        return original(t, prior, spec)
+    def counted(table, c):
+        keys.append((table.t, c, table.horizon))
+        return original(table, c)
 
-    monkeypatch.setattr(performance, "_f0_and_tail", counted)
-    monkeypatch.setattr(solvers, "_f0_and_tail", counted)
+    monkeypatch.setattr(performance, "_coeffs_from", counted)
+    monkeypatch.setattr(solvers, "_coeffs_from", counted)
     code, _, _ = run_cli(capsys, *[str(tmp_path) if a == "OUT" else a for a in argv])
     assert code == 0
     assert keys and len(keys) == len(set(keys))

@@ -479,3 +479,32 @@ def test_kernel_is_bit_identical_to_reference():
         got = _outcome(performance._f0_and_tail, *args)
         assert got == _outcome(_f0_and_tail_reference, *args), (t, sigma, T)
         assert got == _outcome(performance._f0_and_tail, *args)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.7, 1.3, 2.0])
+def test_off_anchor_coefficients_match_a_fresh_quadrature(ratio):
+    # a node table anchored at a, evaluated at c = ratio a, gives the floats of
+    # a table anchored at c within 1e-13.  The factor ((1 + x)/(x + c/a))^2
+    # moves from (a/c)^2 to 1 over w ~ 1, so the half-node check may refuse
+    # it, but only where a small t + precision has made the first panel wider
+    # than 8 in w (at T = 2 and t = 0 that is sigma > 190; around the roots of
+    # both solves it is at most 2.6 wide)
+    compared = 0
+    for t, sigma, T in _kernel_points():
+        prior = IMPROPER if sigma == math.inf else GaussianPrior(sigma)
+        fresh = _outcome(performance._f0_and_tail, t, prior, ProblemSpec(horizon=T))
+        if isinstance(fresh, type):
+            continue
+        c = float(t) + prior.precision
+        table = _outcome(performance._node_table, float(t), c / ratio, T)
+        if isinstance(table, type):  # (T - t)/(c/2) overflows
+            assert table is SingularityError and ratio == 2.0, (t, sigma, T)
+            continue
+        got = _outcome(performance._coeffs_from, table, c)
+        if isinstance(got, type):
+            assert got is QuadratureError and 2.0 * table.half[0] > 8.0, (t, sigma, T)
+            continue
+        for value, ref in zip(got, fresh):
+            assert abs(value - ref) <= 1e-13 * abs(ref), (t, sigma, T)
+        compared += 1
+    assert compared >= 200

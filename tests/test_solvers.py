@@ -14,6 +14,7 @@ from agnostic_control import (
     GaussianPrior,
     NoRootError,
     ProblemSpec,
+    QuadratureError,
     certify_constant_mr,
     find_root,
     gains,
@@ -24,9 +25,8 @@ from agnostic_control import (
     sweep,
     worst_case_mr,
 )
-from agnostic_control.performance import _f0_and_tail
 from agnostic_control.solvers import F_TOL, T_GRID_DEFAULT
-from agnostic_control import solvers
+from agnostic_control import performance, solvers
 
 
 def test_find_root_simple():
@@ -128,24 +128,52 @@ def test_find_root_walks_from_its_start():
         solve(0.5, -4.0)
 
 
+def _count_quadratures(monkeypatch) -> tuple[list, list]:
+    """The (table, c) of every coefficient evaluation the solves make and the
+    (t, a, T) of every node table they build, as two lists the caller clears."""
+    evals, tables = [], []
+    coeffs_from, node_table = solvers._coeffs_from, solvers._node_table
+
+    def counted_eval(table, c):
+        evals.append((table, c))
+        return coeffs_from(table, c)
+
+    def counted_table(*args):
+        tables.append(args)
+        return node_table(*args)
+
+    monkeypatch.setattr(solvers, "_coeffs_from", counted_eval)
+    monkeypatch.setattr(solvers, "_node_table", counted_table)
+    return evals, tables
+
+
 def test_solves_quadrature_budget(monkeypatch):
-    # one F0/F# quadrature per residual evaluation, none at the root or the
-    # bracket ends, which the solve reads back; a solve starts at its predicted
-    # root, where bisecting a 31-point scan first took 11 (sigma*) and 13 at T = 2
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _f0_and_tail(*args)
-
-    monkeypatch.setattr(solvers, "_f0_and_tail", counted)
+    # one coefficient evaluation per residual evaluation, none at the root or
+    # the bracket ends, which the solve reads back, and all from the one node
+    # table built at the first sigma; a solve starts at its predicted root,
+    # where bisecting a 31-point scan first took 11 (sigma*) and 13 at T = 2
+    evals, tables = _count_quadratures(monkeypatch)
     for T in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-        calls.clear()
-        solve_sigma_mr(T)
-        assert len(calls) <= 6, T
-        calls.clear()
-        solve_fueltax(T)
-        assert len(calls) <= 6, T
+        for solve in (solve_sigma_mr, solve_fueltax):
+            evals.clear(), tables.clear()
+            solve(T)
+            assert len(evals) <= 6 and len(tables) == 1, (solve.__name__, T)
+            assert evals[0][1] == tables[0][1], (solve.__name__, T)  # the first at its anchor
+
+
+def test_large_horizon_solves_stay_on_one_node_table(monkeypatch):
+    # past T = 20 a solve starts at K (log10 T)^m, within 1.1 % of its root, so
+    # it never leaves the c/a window of its first table; from 2C/5, 1.65-3.7
+    # times the root, it took up to 11 quadratures here
+    evals, tables = _count_quadratures(monkeypatch)
+    for T in np.logspace(1.4, 10.0, 25):
+        for solve, start in ((solve_sigma_mr, solvers._SIGMA_MR_START),
+                             (solve_fueltax, solvers._FUELTAX_START)):
+            evals.clear(), tables.clear()
+            r = solve(float(T))
+            root = (r[1] if isinstance(r, tuple) else r).root
+            assert len(evals) <= 7 and len(tables) == 1, (solve.__name__, T)
+            assert solvers._start(start, float(T))[0] == pytest.approx(root, rel=0.011), T
 
 
 @pytest.mark.parametrize("quantity", ["sigma_mr", "fueltax"])
@@ -182,19 +210,41 @@ def test_sweep_continuation_matches_cold_solves(quantity, grid):
 
 
 def test_sweep_quadrature_budget(monkeypatch):
-    # predictor-corrector continuation: 124 quadratures for sigma* (the sweep
-    # of figures 1 and 2) and 125 for the fuel tax
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _f0_and_tail(*args)
-
-    monkeypatch.setattr(solvers, "_f0_and_tail", counted)
+    # predictor-corrector continuation: 124 coefficient evaluations for sigma*
+    # (the sweep of figures 1 and 2) and 125 for the fuel tax, from one node
+    # table per horizon
+    evals, tables = _count_quadratures(monkeypatch)
     for quantity, budget in (("sigma_mr", 140), ("fueltax", 150)):
-        calls.clear()
+        evals.clear(), tables.clear()
         sweep(quantity, T_GRID_DEFAULT)
-        assert len(calls) <= budget, quantity
+        assert len(evals) <= budget, quantity
+        assert len(tables) == len(T_GRID_DEFAULT), quantity
+
+
+def test_off_anchor_rule_disagreement_is_a_sweep_error(monkeypatch):
+    # the half-node check holds off a table's anchor too: a disagreement there
+    # raises QuadratureError, which the sweep records as the point's error
+    perturbed = performance._WEIGHTS.copy()
+    perturbed[performance._N_NODES:] *= 1.0 + 1e-6  # the half-node rule's weights
+    coeffs_from, off_anchor = performance._coeffs_from, []
+
+    def perturbed_off_anchor(table, c):
+        if c == table.a:
+            return coeffs_from(table, c)
+        off_anchor.append(c)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(performance, "_WEIGHTS", perturbed)
+            return coeffs_from(table, c)
+
+    monkeypatch.setattr(solvers, "_coeffs_from", perturbed_off_anchor)
+    with pytest.raises(QuadratureError):
+        solve_sigma_mr(2.0)
+    records = sweep("fueltax", (1.0, 2.0)).records
+    # each solve ends at its first off-anchor evaluation: one above, one per horizon
+    assert len(off_anchor) == 3
+    for rec in records:
+        assert set(rec) == {"T", "error"}
+        assert rec["error"].startswith("QuadratureError: 48- and 24-node rules disagree at t=0.0")
 
 
 def test_a_failing_guess_raises_the_scan_error():
@@ -258,6 +308,38 @@ def test_fueltax_solve_converges_where_the_differences_cancelled():
     assert abs(lam_r.residual) <= F_TOL and abs(sig_r.residual) <= F_TOL
     assert sig_r.iterations <= 6
     assert lam_r.root == pytest.approx(1.2876026533, rel=1e-7)
+
+
+def test_fueltax_gaps_keep_their_precision_as_lambda_tends_to_1():
+    # lambda* - 1 falls like 1/T, to 2e-5 at T = 1e6; the gaps are formed
+    # from mu = lambda - 1, where 1 + mu as a float rounded mu to 1e-16
+    mpmath = pytest.importorskip("mpmath")
+    from agnostic_control.model import e0_gap, e_sharp_gap
+
+    with mpmath.workdps(40):
+        for T in (1.0, 1.5, 20.0, 1e3, 1e6, 1e10):
+            for mu in (1e-12, 1e-8, 1e-4, 0.3, 3.0, 100.0):
+                lam, s = 1 + mpmath.mpf(mu), T / mpmath.sqrt(1 + mpmath.mpf(mu))
+                lc = lambda x: mpmath.log(mpmath.cosh(x))
+                es_ref = lam * lc(s) - lc(T)
+                e0_ref = lam * mpmath.sqrt(lam) * (s - mpmath.tanh(s)) - (T - mpmath.tanh(T))
+                assert abs(e_sharp_gap(T, mu) - es_ref) <= 3e-14 * es_ref, (T, mu)
+                assert abs(e0_gap(T, mu) - e0_ref) <= 3e-14 * e0_ref, (T, mu)
+
+
+def test_fueltax_residual_is_smooth_at_long_horizons():
+    # with lambda carried as 1 + mu, a float near 1, the residual jumped by
+    # 4e-9 > F_TOL between neighbouring sigma at T = 3.7e8, and the solves at
+    # T = 1.8e9 and 7.3e9 raised NoRootError when the root fell in a jump
+    T = float(np.logspace(1.4, 10.0, 25)[20])
+    _, sig_r = solve_fueltax(T)
+    resid = solvers._fueltax_residual(T, solvers._coeffs_at_zero(T), {})
+    values = [resid(sig_r.root * (1.0 + k * 1e-10)) for k in range(-10, 11)]
+    steps = np.diff(values)
+    assert np.all(steps < 0.0) and steps.min() >= 2.0 * steps.max(), steps
+    for T in np.logspace(6.0, 10.0, 120):
+        lam_r, sig_r = solve_fueltax(float(T))
+        assert max(abs(lam_r.residual), abs(sig_r.residual)) <= F_TOL, T
 
 
 def test_fueltax_solve_raises_where_the_ratio_misses_1(monkeypatch):
