@@ -11,14 +11,12 @@ with (writing p = sigma^-2, p = 0 for the improper prior)
     F#(t) = e_sharp(t) + int_t^T (tau - t) e1(tau)^2 / (4 (tau+p)^2) dtau.
 
 The F# form follows from swapping the order of integration in its defining
-double integral.  perf_coeffs evaluates both by Gauss-Legendre quadrature;
-the independent cross-check perf_coeffs_rk4 integrates the coefficient ODEs.
-The prior enters the integrands only through 1/(tau + p)^2, so the
-quadrature is split in two: _node_table builds the nodes, e1^2/4 and the
-panel widths for t, T and an anchor a, and _coeffs_from evaluates them at any
-c = t + p, reweighting each node by ((1 + x)/(x + c/a))^2 off the anchor.  A
-root solve over sigma builds one table and evaluates every sigma it tries
-from it.
+double integral.  coefficients(t, spec) evaluates both, for every caller, by
+Gauss-Legendre quadrature; perf_coeffs_rk4 integrates the coefficient ODEs as
+an independent cross-check.  The prior enters the integrands only through
+1/(tau + p)^2, so _node_table builds the nodes, e1^2/4 and panel widths for t,
+T and an anchor a once, and _coeffs_from evaluates them at any c = t + p,
+re-weighting each node by ((1 + x)/(x + c/a))^2 off the anchor.
 
 From q(0) = 0 our expected cost and the informed opponent's are even
 quadratics in a, so every regret is one Mobius function of a^2, monotone from
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -62,6 +60,9 @@ _S_EDGE = 20.0
 _W_MAX = 16.0
 #: Relative disagreement of the two rules above which the result is refused.
 _EST_RTOL = 1e-10
+#: Range of c/a, a prior's t + precision c over a node table's anchor a, over
+#: which coefficients evaluates the table it has instead of building one at c.
+_REANCHOR = (0.5, 2.0)
 #: Fixed RK4 steps from T down to t in the perf_coeffs_rk4 cross-check.
 _RK4_STEPS = 8000
 
@@ -75,15 +76,41 @@ def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[floa
 
 
 def _f0_and_tail(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
-    """(F0(t), F#(t) - log cosh(T - t)): perf_coeffs with the quadrature's tail
-    apart from e_sharp(t), so that F# - e_sharp carries no cancellation.  It
-    evaluates a node table at its own anchor c = t + precision."""
-    _check_time(t, spec)
+    """(F0(t), F#(t) - e#(t)): perf_coeffs with the quadrature's tail apart
+    from e#(t) = log cosh(T - t), so that F# - e# carries no cancellation; one
+    evaluation of coefficients(t, spec), at its own anchor."""
+    evaluate = coefficients(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("F# diverges (logarithmically) as t -> 0 for the improper prior")
-    t = float(t)
-    c = t + prior.precision
-    return _coeffs_from(_node_table(t, c, spec.horizon), c)
+    return evaluate(prior.precision)
+
+
+def coefficients(t: float, spec: ProblemSpec) -> Callable[[float], tuple[float, float]]:
+    """precision p -> (F0(t), F#(t) - e#(t)), each p evaluated once; DomainError
+    unless t lies in [0, T].  The first p builds a node table anchored at c =
+    t + p, and a later p is evaluated from it while c/a stays in _REANCHOR.
+    Past that, or where the re-weighted half-node check refuses (a small c/a
+    can leave the first panel too wide for it), it builds one anchored at c,
+    where _node_table and _coeffs_from raise as they do."""
+    _check_time(t, spec)
+    t, horizon, seen, table = float(t), spec.horizon, {}, None
+
+    def evaluate(precision: float) -> tuple[float, float]:
+        nonlocal table
+        if precision not in seen:
+            c = t + precision
+            if table is None or not _REANCHOR[0] <= c / table.a <= _REANCHOR[1]:
+                table = _node_table(t, c, horizon)
+            try:
+                seen[precision] = _coeffs_from(table, c)
+            except QuadratureError:
+                if c == table.a:
+                    raise
+                table = _node_table(t, c, horizon)
+                seen[precision] = _coeffs_from(table, c)
+        return seen[precision]
+
+    return evaluate
 
 
 class _NodeTable(NamedTuple):
@@ -287,18 +314,16 @@ def regret_form(
     expected cost to the opponent's at fuel weight lambda_opp >= 1 (checked by
     ProblemSpec), or with additive=True our cost minus the untaxed opponent's.
     q(t0) ~ N(a t0, t0) and E (a_bar - a)^2 = (t0 + a^2 p^2)/(t0 + p)^2 give the
-    coefficients.  coeffs is (F0, F#) at t0 for a ratio form when the caller
-    holds it already; the additive form takes F# - e# from the quadrature's tail,
-    against the untaxed opponent, so it takes neither lambda_opp nor coeffs."""
+    coefficients.  coeffs is (F0, F# - e#) at t0, as coefficients returns it,
+    when the caller holds it already.  The additive form is against the
+    untaxed opponent, so it takes no lambda_opp."""
     t0 = spec.t_start
     if additive:
-        if lambda_opp != 1.0 or coeffs is not None:
-            raise DomainError("additive regret takes neither lambda_opp nor coeffs")
+        if lambda_opp != 1.0:
+            raise DomainError("additive regret takes no lambda_opp: its opponent is untaxed")
         if t0 <= 0.0:
             raise DomainError("additive regret requires t_start > 0 (it diverges at 0)")
-        f0, tail = _f0_and_tail(t0, prior, spec)  # tail = F# - e# at t0
-    else:
-        f0, f_sharp = perf_coeffs(t0, prior, spec) if coeffs is None else coeffs
+    f0, tail = _f0_and_tail(t0, prior, spec) if coeffs is None else coeffs
     g = own_gains(t0, spec)
     p = prior.precision
     d = t0 + p
@@ -308,7 +333,7 @@ def regret_form(
         return RegretForm(f0_w0 + tail, f0_w2, 1.0, 0.0)
     o = g if lambda_opp == 1.0 else gains(t0, spec.with_fuel_weight(lambda_opp))
     return RegretForm(
-        g.e2 * t0 + f_sharp + f0_w0,
+        g.e2 * t0 + (g.e_sharp + tail) + f0_w0,  # F# = e# + tail
         (g.e2 * t0 + g.e1) * t0 + g.e0 + f0_w2,
         o.e2 * t0 + o.e_sharp,
         (o.e2 * t0 + o.e1) * t0 + o.e0,

@@ -7,10 +7,8 @@ width sigma* achieving that balance, and the form there; worst_case_mr
 evaluates the resulting ratio.  The fuel-tax variant asks both of those
 ratios to equal 1 against an opponent taxed at lambda: the a=0 condition
 gives lambda(sigma) by a short Newton iteration, so solve_fueltax is again one
-root in sigma.  A solve evaluates F0 and F# - e# once for each sigma it tries,
-all from one node table (performance._node_table) built at the first sigma
-it tries, and builds another only if its precision leaves [1/2, 2] times the
-table's anchor.
+root in sigma.  A solve reads F0 and F# - e# at every sigma it tries from
+one performance.coefficients evaluator, which integrates each sigma once.
 
 Both residuals are scale-free.  The sigma* balance, F0/e0 = (F# - e#)/e#, is
 zeroed as 1 - ((F# - e#)/e#)/(F0/e0); the fuel-tax one as 1 - (e0_lambda -
@@ -36,8 +34,7 @@ Continuation Methods, 1990), as a predictor-corrector: sigma moves smoothly
 with the horizon, so each point's solve starts from a guess of log sigma
 extrapolated, in (log T, log sigma), from the roots converged before it, and
 corrects it by secant steps from the residual's slope in log sigma that the
-last solve measured.  About three evaluations of one node table settle a
-point.
+last solve measured.  About three evaluations settle a point.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ import numpy as np
 from .bayes import GaussianPrior
 from .errors import DomainError, NoRootError
 from .model import ProblemSpec, e0_gap, e_sharp_gap, log_cosh, own_gains
-from .performance import A_GRID_DEFAULT, RegretForm, _coeffs_from, _node_table, regret_form
+from .performance import A_GRID_DEFAULT, RegretForm, coefficients, regret_form
 
 #: Most Newton steps _taxed_opponent takes for the fuel weight.
 _NEWTON_MAX = 64
@@ -66,9 +63,6 @@ _STEP_MAX = math.log(4.0)
 #: follow K (log10 T)^m, within 1.1 % up to T = 1e10.
 _SIGMA_MR_START = (1.962466, -3.37, 0.916, -0.602)
 _FUELTAX_START = (1.5212, -3.5, 0.726, -0.647)
-#: Range of c/a, a prior precision c over a node table's anchor a, over which
-#: a solve evaluates the table it has instead of building one at c.
-_REANCHOR = (0.5, 2.0)
 
 #: Default horizon grid behind the figure sweeps: 40 log-spaced points
 #: covering all qualitative features (regret peak near T=2, both tails).
@@ -191,43 +185,15 @@ def _start(start: tuple[float, float, float, float], T: float) -> tuple[float, f
     return c * (1.0 + T / 25.0) / math.sqrt(T), slope
 
 
-def _coeffs_at_zero(T: float) -> Callable[[float], tuple[float, float]]:
-    """sigma -> (F0, F# - e#) at t = 0 and horizon T, evaluated once per sigma:
-    one solve keeps its own, to read its root and bracket ends back.  It
-    builds one node table, anchored at the first sigma's precision a, and
-    evaluates every later sigma from it while its precision c has c/a in
-    _REANCHOR; past that it builds a new table anchored at c."""
-    horizon, seen, table = ProblemSpec(horizon=T).horizon, {}, None
-
-    def coeffs(sigma: float) -> tuple[float, float]:
-        nonlocal table
-        if sigma not in seen:
-            c = GaussianPrior(sigma).precision
-            if table is None or not _REANCHOR[0] <= c / table.a <= _REANCHOR[1]:
-                table = _node_table(0.0, c, horizon)
-            seen[sigma] = _coeffs_from(table, c)
-        return seen[sigma]
-
-    return coeffs
-
-
-def _form_at(T: float, coeffs, sigma: float, lam: float = 1.0) -> RegretForm:
-    """The ratio form at sigma from the solve's coefficients, with F# = log
-    cosh T + tail formed as perf_coeffs forms it."""
-    f0, tail = coeffs(sigma)
-    return regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T), lam,
-                       coeffs=(f0, log_cosh(T) + tail))
-
-
 def _sigma_mr_residual(T: float, coeffs) -> Callable[[float], float]:
     """sigma -> 1 - ((F# - e#)/e#)/(F0/e0) at horizon T, F0 and F# - e# read
-    from coeffs, a _coeffs_at_zero(T) table: the residual solve_sigma_mr
-    zeroes, -inf where F0/e0 underflows."""
+    from coeffs, performance.coefficients at t = 0: the residual
+    solve_sigma_mr zeroes, -inf where F0/e0 underflows."""
     g = own_gains(0.0, ProblemSpec(horizon=T))
     e0, e_sharp = g.e0, g.e_sharp
 
     def resid(sigma: float) -> float:
-        f0, tail = coeffs(sigma)
+        f0, tail = coeffs(GaussianPrior(sigma).precision)
         q = f0 / e0
         return 1.0 - tail / e_sharp / q if q > 0.0 else -math.inf
 
@@ -238,7 +204,7 @@ def _root_in_sigma(T: float, resid, coeffs, start, guess) -> SolveResult:
     """find_root of resid from guess, or else from start's predicted sigma,
     which it cannot leave where F0 underflows to 0 and resid is not finite."""
     sigma, slope = guess or _start(start, T)
-    if coeffs(sigma)[0] == 0.0:
+    if coeffs(GaussianPrior(sigma).precision)[0] == 0.0:
         raise _no_root([(sigma, resid(sigma))], f"F0 underflows to 0 at sigma={sigma!r}, "
                                                  f"T={T!r}, so the residual is not finite")
     return find_root(resid, sigma, slope)
@@ -249,9 +215,11 @@ def solve_sigma_mr(T: float, *, guess=None) -> SolveResult:
     its a=0 value F#/e# equals its a->inf limit (e0 + F0)/e0; .form is the ratio
     there.  guess, a sigma and the residual's slope in log sigma, replaces the
     predicted start."""
-    coeffs = _coeffs_at_zero(T)
+    spec = ProblemSpec(horizon=T)
+    coeffs = coefficients(0.0, spec)
     sr = _root_in_sigma(T, _sigma_mr_residual(T, coeffs), coeffs, _SIGMA_MR_START, guess)
-    return replace(sr, form=_form_at(T, coeffs, sr.root))
+    prior = GaussianPrior(sr.root)
+    return replace(sr, form=regret_form(prior, spec, coeffs=coeffs(prior.precision)))
 
 
 def worst_case_mr(T: float, sigma: float | None = None) -> float:
@@ -297,7 +265,7 @@ def _fueltax_residual(T: float, coeffs, lams: dict) -> Callable[[float], float]:
     zeroes.  It keeps each lambda(sigma) in lams."""
 
     def resid(sigma: float) -> float:
-        f0, tail = coeffs(sigma)
+        f0, tail = coeffs(GaussianPrior(sigma).precision)
         lams[sigma], d0 = _taxed_opponent(T, tail)
         return 1.0 - d0 / f0 if f0 > 0.0 else -math.inf
 
@@ -316,10 +284,12 @@ def solve_fueltax(T: float, *, guess=None) -> tuple[SolveResult, SolveResult]:
     F0(sigma) = e0_lambda - e0, is one root in sigma, with the residual taken
     relative to F0.  guess is as in solve_sigma_mr.
     """
-    coeffs, lams = _coeffs_at_zero(T), {}
+    spec, lams = ProblemSpec(horizon=T), {}
+    coeffs = coefficients(0.0, spec)
     sr = _root_in_sigma(T, _fueltax_residual(T, coeffs, lams), coeffs, _FUELTAX_START, guess)
     lam, lam_lo, lam_hi = (lams[s] for s in (sr.root, sr.bracket_lo, sr.bracket_hi))
-    form = _form_at(T, coeffs, sr.root, lam)
+    prior = GaussianPrior(sr.root)
+    form = regret_form(prior, spec, lam, coeffs=coeffs(prior.precision))
     r = form(0.0) - 1.0
     if not abs(r) <= F_TOL:
         raise NoRootError(f"the taxed cost ratio at sigma_ft={sr.root!r}, lambda*={lam!r} "
@@ -388,8 +358,7 @@ def sweep(quantity: str, t_grid) -> SweepTable:
     corrector: _guess predicts its sigma from their roots, and find_root
     corrects that by secant steps, from the slope the last converged solve
     measured, until |residual| <= F_TOL.  A point before any has converged
-    starts where a single solve does.  Either way it evaluates F0 and F# - e#
-    once for each sigma it tries, from one node table per horizon.
+    starts where a single solve does.
     """
     if quantity not in ("sigma_mr", "fueltax"):
         raise ValueError(f"unknown sweep quantity {quantity!r}")

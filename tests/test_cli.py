@@ -2,11 +2,12 @@
 
 import argparse
 import contextlib
-import dataclasses
+import importlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from agnostic_control import (
     make_strategy,
     simulate_path,
 )
-from agnostic_control import solvers
+from agnostic_control import performance, solvers
 from agnostic_control.cli import main
 
 
@@ -311,13 +312,9 @@ def test_regret_fueltax(capsys):
 
 def test_regret_fueltax_off_ratio_exits_4(capsys, monkeypatch):
     # the taxed ratio at the sigma root made to miss 1: the solve raises
-    form_at = solvers._form_at
-
-    def off(*args):
-        form = form_at(*args)
-        return dataclasses.replace(form, alpha=form.alpha * (1.0 + 1e-6))
-
-    monkeypatch.setattr(solvers, "_form_at", off)
+    form = performance.RegretForm
+    monkeypatch.setattr(performance, "RegretForm",
+                        lambda alpha, *rest: form(alpha * (1.0 + 1e-6), *rest))
     code, out, err = run_cli(capsys, "regret", "--mode", "fueltax", "--T", "1e-3")
     assert (code, out) == (4, "")
     assert err.startswith("error: the taxed cost ratio at sigma_ft=") and err.count("\n") == 1
@@ -348,8 +345,6 @@ def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
     # regret table evaluates one form, and figure 2 reuses its peak row's form;
     # every coefficient evaluation, the solves', perf_coeffs' and the additive
     # regret's, passes through performance._coeffs_from
-    from agnostic_control import performance
-
     keys = []
     original = performance._coeffs_from
 
@@ -358,10 +353,20 @@ def test_no_coefficients_integrated_twice(monkeypatch, capsys, tmp_path, argv):
         return original(table, c)
 
     monkeypatch.setattr(performance, "_coeffs_from", counted)
-    monkeypatch.setattr(solvers, "_coeffs_from", counted)
     code, _, _ = run_cli(capsys, *[str(tmp_path) if a == "OUT" else a for a in argv])
     assert code == 0
     assert keys and len(keys) == len(set(keys))
+
+
+def test_entry_point_names_cli_main():
+    # the acl script that pip installs calls what [project.scripts] names
+    # (a regex: Python 3.10 has no tomllib)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", fh.read(), re.M | re.S)
+    module, name = re.fullmatch(r'acl = "([\w.]+):(\w+)"\s*', section.group(1)).groups()
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry) and entry is main
 
 
 def _acl_process(argv, stdout) -> subprocess.CompletedProcess:

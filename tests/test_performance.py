@@ -289,13 +289,24 @@ def test_additive_regret_requires_observation_phase():
 @pytest.mark.parametrize("args, kwargs", [
     ((4.0,), {}),  # a taxed opponent
     ((), {"lambda_opp": 0.5}),  # below 1, which the ratio form rejects too
-    ((), {"coeffs": (123.0, 456.0)}),
-], ids=["lambda_opp-4", "lambda_opp-0.5", "coeffs"])
+], ids=["lambda_opp-4", "lambda_opp-0.5"])
 def test_additive_regret_rejects_ratio_only_arguments(args, kwargs):
-    # the additive form is against the untaxed opponent, from its own quadrature
+    # the additive form is against the untaxed opponent
     spec = ProblemSpec(horizon=2.0, t_start=0.5)
-    with pytest.raises(DomainError, match="neither lambda_opp nor coeffs"):
+    with pytest.raises(DomainError, match="takes no lambda_opp"):
         regret_form(GaussianPrior(1.0), spec, *args, additive=True, **kwargs)
+
+
+def test_regret_form_takes_the_coefficients_it_would_evaluate():
+    # coeffs is (F0, F# - e#) at t_start in both modes: the form from the
+    # evaluator's own pair is the form regret_form evaluates itself
+    for t0, lam in ((0.0, 1.0), (0.0, 1.7), (0.5, 1.0), (0.5, 1.7)):
+        spec, prior = ProblemSpec(horizon=2.0, t_start=t0), GaussianPrior(1.3)
+        coeffs = performance.coefficients(t0, spec)(prior.precision)
+        assert regret_form(prior, spec, lam, coeffs=coeffs) == regret_form(prior, spec, lam)
+        if t0 > 0.0 and lam == 1.0:
+            assert (regret_form(prior, spec, additive=True, coeffs=coeffs)
+                    == regret_form(prior, spec, additive=True))
 
 
 def test_multiplicative_regret_endpoints():
@@ -508,3 +519,18 @@ def test_off_anchor_coefficients_match_a_fresh_quadrature(ratio):
             assert abs(value - ref) <= 1e-13 * abs(ref), (t, sigma, T)
         compared += 1
     assert compared >= 200
+
+
+def test_coefficients_re_anchor_where_the_re_weighted_rule_refuses():
+    # at T = 2, t = 0 and c/a = 1/2, a table re-weighted to sigma >= 195 fails
+    # the half-node check, as its first panel is over 8 wide in w; the
+    # evaluator then builds a table at c and returns a fresh quadrature's floats
+    spec = ProblemSpec(horizon=2.0)
+    for sigma in (195.0, 300.0, 1e3):
+        prior = GaussianPrior(sigma)
+        c = prior.precision
+        with pytest.raises(QuadratureError):
+            performance._coeffs_from(performance._node_table(0.0, 2.0 * c, 2.0), c)
+        evaluate = performance.coefficients(0.0, spec)
+        evaluate(2.0 * c)  # anchors its table at 2c
+        assert evaluate(c) == performance._f0_and_tail(0.0, prior, spec), sigma

@@ -1,7 +1,6 @@
 """Root-finding layer: sigma* for constant competitive ratio, worst-case MR,
 the fuel-tax solve, and horizon sweeps."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -129,10 +128,11 @@ def test_find_root_walks_from_its_start():
 
 
 def _count_quadratures(monkeypatch) -> tuple[list, list]:
-    """The (table, c) of every coefficient evaluation the solves make and the
-    (t, a, T) of every node table they build, as two lists the caller clears."""
+    """The (table, c) of every coefficient evaluation performance makes and
+    the (t, a, T) of every node table it builds, as two lists the caller
+    clears."""
     evals, tables = [], []
-    coeffs_from, node_table = solvers._coeffs_from, solvers._node_table
+    coeffs_from, node_table = performance._coeffs_from, performance._node_table
 
     def counted_eval(table, c):
         evals.append((table, c))
@@ -142,8 +142,8 @@ def _count_quadratures(monkeypatch) -> tuple[list, list]:
         tables.append(args)
         return node_table(*args)
 
-    monkeypatch.setattr(solvers, "_coeffs_from", counted_eval)
-    monkeypatch.setattr(solvers, "_node_table", counted_table)
+    monkeypatch.setattr(performance, "_coeffs_from", counted_eval)
+    monkeypatch.setattr(performance, "_node_table", counted_table)
     return evals, tables
 
 
@@ -176,6 +176,11 @@ def test_large_horizon_solves_stay_on_one_node_table(monkeypatch):
             assert solvers._start(start, float(T))[0] == pytest.approx(root, rel=0.011), T
 
 
+def _coeffs_at_zero(T):
+    """performance.coefficients at t = 0 and horizon T, as the solves read it."""
+    return performance.coefficients(0.0, ProblemSpec(horizon=T))
+
+
 @pytest.mark.parametrize("quantity", ["sigma_mr", "fueltax"])
 @pytest.mark.parametrize("grid", [
     T_GRID_DEFAULT,
@@ -196,7 +201,7 @@ def test_sweep_continuation_matches_cold_solves(quantity, grid):
         if "error" in w:
             continue
         sigma = w[key]
-        coeffs = solvers._coeffs_at_zero(T)
+        coeffs = _coeffs_at_zero(T)
         if quantity == "fueltax":
             assert abs(solvers._fueltax_residual(T, coeffs, {})(sigma)) <= F_TOL, T
             form = regret_form(GaussianPrior(sigma), ProblemSpec(horizon=T), w["lambda_star"])
@@ -222,27 +227,32 @@ def test_sweep_quadrature_budget(monkeypatch):
 
 
 def test_off_anchor_rule_disagreement_is_a_sweep_error(monkeypatch):
-    # the half-node check holds off a table's anchor too: a disagreement there
-    # raises QuadratureError, which the sweep records as the point's error
+    # a half-node disagreement off a table's anchor builds a table at that
+    # sigma, and the solve converges; one at the anchor raises
+    # QuadratureError, which the sweep records as the point's error
     perturbed = performance._WEIGHTS.copy()
     perturbed[performance._N_NODES:] *= 1.0 + 1e-6  # the half-node rule's weights
-    coeffs_from, off_anchor = performance._coeffs_from, []
+    reference = solve_sigma_mr(2.0).root
+    _, tables = _count_quadratures(monkeypatch)
+    counted, refused, everywhere = performance._coeffs_from, [], []
 
     def perturbed_off_anchor(table, c):
-        if c == table.a:
-            return coeffs_from(table, c)
-        off_anchor.append(c)
+        if c == table.a and not everywhere:
+            return counted(table, c)
+        refused.append(c)
         with pytest.MonkeyPatch.context() as m:
             m.setattr(performance, "_WEIGHTS", perturbed)
-            return coeffs_from(table, c)
+            return counted(table, c)
 
-    monkeypatch.setattr(solvers, "_coeffs_from", perturbed_off_anchor)
+    monkeypatch.setattr(performance, "_coeffs_from", perturbed_off_anchor)
+    sr = solve_sigma_mr(2.0)
+    assert abs(sr.residual) <= F_TOL and sr.root == pytest.approx(reference, rel=1e-9)
+    # each sigma after the first was refused off the last table and evaluated at its own
+    assert len(refused) == sr.iterations - 1 and len(tables) == sr.iterations
+    everywhere.append(True)
     with pytest.raises(QuadratureError):
         solve_sigma_mr(2.0)
-    records = sweep("fueltax", (1.0, 2.0)).records
-    # each solve ends at its first off-anchor evaluation: one above, one per horizon
-    assert len(off_anchor) == 3
-    for rec in records:
+    for rec in sweep("fueltax", (1.0, 2.0)).records:
         assert set(rec) == {"T", "error"}
         assert rec["error"].startswith("QuadratureError: 48- and 24-node rules disagree at t=0.0")
 
@@ -269,7 +279,7 @@ def test_residuals_change_sign_once_over_the_scan(log_T):
     # from 4^-4 to 4^4 times each solve's start, each residual is finite and
     # falls from positive to negative, changing sign once
     T = 10.0 ** log_T
-    coeffs = solvers._coeffs_at_zero(T)
+    coeffs = _coeffs_at_zero(T)
     for resid, start in ((solvers._sigma_mr_residual(T, coeffs), solvers._SIGMA_MR_START),
                          (solvers._fueltax_residual(T, coeffs, {}), solvers._FUELTAX_START)):
         sigma_0, slope = solvers._start(start, T)
@@ -333,7 +343,7 @@ def test_fueltax_residual_is_smooth_at_long_horizons():
     # T = 1.8e9 and 7.3e9 raised NoRootError when the root fell in a jump
     T = float(np.logspace(1.4, 10.0, 25)[20])
     _, sig_r = solve_fueltax(T)
-    resid = solvers._fueltax_residual(T, solvers._coeffs_at_zero(T), {})
+    resid = solvers._fueltax_residual(T, _coeffs_at_zero(T), {})
     values = [resid(sig_r.root * (1.0 + k * 1e-10)) for k in range(-10, 11)]
     steps = np.diff(values)
     assert np.all(steps < 0.0) and steps.min() >= 2.0 * steps.max(), steps
@@ -345,13 +355,9 @@ def test_fueltax_residual_is_smooth_at_long_horizons():
 def test_fueltax_solve_raises_where_the_ratio_misses_1(monkeypatch):
     # a sigma root whose taxed ratio at a = 0 is off 1 by more than F_TOL is
     # no solve: NoRootError, never a result to check
-    form_at = solvers._form_at
-
-    def off(*args):
-        form = form_at(*args)
-        return dataclasses.replace(form, alpha=form.alpha * (1.0 + 1e-6))
-
-    monkeypatch.setattr(solvers, "_form_at", off)
+    form = performance.RegretForm
+    monkeypatch.setattr(performance, "RegretForm",
+                        lambda alpha, *rest: form(alpha * (1.0 + 1e-6), *rest))
     with pytest.raises(NoRootError, match=r"the taxed cost ratio at sigma_ft=.* is 1 \+ "):
         solve_fueltax(2.0)
 
