@@ -60,9 +60,22 @@ _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
+def _files(root: str) -> dict[str, str]:
+    """The text of every file under root, keyed by its path from root with /
+    separators."""
+    found = {}
+    for parent, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(parent, name)
+            with open(path, encoding="utf-8", newline="") as fh:
+                found[os.path.relpath(path, root).replace(os.sep, "/")] = fh.read()
+    return found
+
+
 def replay(argv: list[str]) -> dict[str, str]:
     """Run one acl command through cli.main in a fresh working directory:
-    {'exit_code', 'stdout', 'stderr', 'files/<path>' for each file written}."""
+    {'exit_code', 'stdout', 'stderr', 'files/<path>' for each file written},
+    keyed as the files of its golden directory."""
     from agnostic_control.cli import main
 
     out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
@@ -75,27 +88,12 @@ def replay(argv: list[str]) -> dict[str, str]:
                 code = main(argv)
         finally:
             os.chdir(cwd)
-        result = {"exit_code": f"{code}\n", "stdout": out.getvalue(), "stderr": err.getvalue()}
-        for root, _, names in os.walk(work):
-            for name in names:
-                path = os.path.relpath(os.path.join(root, name), work)
-                if path != BLOCKER:
-                    with open(os.path.join(work, path), encoding="utf-8", newline="") as fh:
-                        text = fh.read()
-                    result["files/" + path.replace(os.sep, "/")] = _TIMESTAMP.sub(
-                        r'\1"<masked>"', text)
+        written = _files(work)
+    del written[BLOCKER]
+    result = {"exit_code": f"{code}\n", "stdout": out.getvalue(), "stderr": err.getvalue()}
+    for path, text in written.items():
+        result["files/" + path] = _TIMESTAMP.sub(r'\1"<masked>"', text)
     return result
-
-
-def _recorded(case: str) -> dict[str, str]:
-    """The golden of one case, keyed as replay keys its result."""
-    root, recorded = os.path.join(GOLDEN, case), {}
-    for parent, _, names in os.walk(root):
-        for name in names:
-            path = os.path.relpath(os.path.join(parent, name), root).replace(os.sep, "/")
-            with open(os.path.join(parent, name), encoding="utf-8", newline="") as fh:
-                recorded[path] = fh.read()
-    return recorded
 
 
 def _first_difference(want: str, got: str) -> str:
@@ -117,7 +115,7 @@ def _first_difference(want: str, got: str) -> str:
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_output_matches_its_golden(case):
-    got, want = replay(CASES[case]), _recorded(case)
+    got, want = replay(CASES[case]), _files(os.path.join(GOLDEN, case))
     assert sorted(got) == sorted(want), case
     for key in sorted(want):
         assert got[key] == want[key], f"{case}/{key} differs at " + _first_difference(
