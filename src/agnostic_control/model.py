@@ -158,9 +158,13 @@ def e_sharp_gap(horizon: float, mu: float) -> float:
     With s = T/sqrt(lam) and g(s) = log cosh s - s^2/2 it is lam g(s) - g(T):
     the T^2/2 that both costs hold cancels exactly.  Below T = 1 it is formed
     so, as T^2 (g(s)/s^2 - g(T)/T^2), and keeps its relative precision as
-    T -> 0.  From T = 1 up, where T^2/2 outgrows the gap, it is taken in mu,
-    which 1 + mu would round away as T grows and lambda* -> 1: with
-    log cosh x = x - log 2 + l(x), l(x) = log1p(e^{-2x}), it is
+    T -> 0, but s rounds a small mu: it is good to about 1e-16/mu relative
+    (3.5e-3 at T = 0.837, mu = 1.2e-12).  The fuel-tax solve, where lambda*
+    is near 1.29, evaluates it below T = 1 only at mu >= 0.22 (over the 73
+    horizons of logspace(-8, 10) and the default grid; a test holds it to
+    mu >= 0.1 there).  From T = 1 up, where T^2/2 outgrows the gap, it is
+    taken in mu, which 1 + mu would round away as T grows and lambda* -> 1:
+    with log cosh x = x - log 2 + l(x), l(x) = log1p(e^{-2x}), it is
         mu (T/(1 + sqrt lam) - log 2 + l(s)) + l(s) - l(T),
     l(s) - l(T) = log1p(e^{-2s} (1 - e^{-2(T - s)})/(1 + e^{-2T})).  Below
     s = 0.5, where those terms cancel and mu is large, it is lam log cosh s -
@@ -181,7 +185,9 @@ def e_sharp_gap(horizon: float, mu: float) -> float:
 def e0_gap(horizon: float, mu: float) -> float:
     """e0_lam - e0 at t = 0, lam = 1 + mu, what the fuel weight adds to the a^2
     term, formed as in e_sharp_gap from h(s) = s - tanh s - s^3/3: T^3 (h(s)/s^3
-    - h(T)/T^3) below T = 1.  From T = 1 up, as lam^{3/2} s = lam T, it is
+    - h(T)/T^3) below T = 1, which is good to about 1e-16/mu relative and,
+    like e_sharp_gap, evaluated there only at mu >= 0.22.  From T = 1 up, as
+    lam^{3/2} s = lam T, it is
         mu T - ((1 + mu)^{3/2} - 1) tanh s + tanh T - tanh s,
     tanh T - tanh s = 2 e^{-2s} (1 - e^{-2(T - s)})/((1 + e^{-2T}) (1 + e^{-2s})),
     and below s = 0.5 lam^{3/2} (s - tanh s) - (T - tanh T)."""

@@ -63,8 +63,11 @@ _EST_RTOL = 1e-10
 #: Range of c/a, a prior's t + precision c over a node table's anchor a, over
 #: which coefficients evaluates the table it has instead of building one at c.
 _REANCHOR = (0.5, 2.0)
-#: Fixed RK4 steps from T down to t in the perf_coeffs_rk4 cross-check.
-_RK4_STEPS = 8000
+#: RK4 steps from T down to t in the perf_coeffs_rk4 cross-check.
+_RK4_STEPS = 6000
+#: Cap on the Newton passes that invert the RK4 grid map (at most 14 were
+#: needed for T from 1e-100 to 1e10).
+_RK4_NEWTON_MAX = 50
 
 
 def perf_coeffs(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[float, float]:
@@ -221,17 +224,19 @@ def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[
         dF0/dt = 2 F0 / (t + p) - e1^2 / 4
         dF#/dt = -e2 - F0 / (t + p)^2
 
-    integrated from t=T (where both vanish) down to t.  Used to cross-check
-    perf_coeffs; the two agree to ~1e-8 relative only where the fixed step
-    h = (T - t)/_RK4_STEPS keeps 2h/(tau + p) inside RK4's stability interval
-    (below about 2.8) down to tau = t.  At sigma = 100, t = 0, T = 2 that
-    ratio is 5, and F0 is 2.9e-3 off.
+    integrated from t=T (where both vanish) down to t, over the _RK4_STEPS
+    steps of _rk4_nodes.  Used to cross-check perf_coeffs: the steps shrink
+    with tau + p near t, where 2 F0/(t + p) is stiff, and with the remaining
+    time near T, where e1 rises, so the steps stay well inside RK4's
+    stability interval for every prior width.
     """
     _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
         raise SingularityError("improper-prior coefficients undefined at t=0")
     p = prior.precision
     T = spec.horizon
+    if t == T:
+        return 0.0, 0.0
 
     def rhs(tau: float, y: np.ndarray) -> np.ndarray:
         # rounding in the step loop can push tau a hair outside [0, T]
@@ -241,17 +246,46 @@ def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[
             [2.0 * y[0] / d - 0.25 * g.e1 * g.e1, -g.e2 - y[0] / (d * d)]
         )
 
-    h = (t - T) / _RK4_STEPS  # negative: integrating backwards
+    nodes = _rk4_nodes(float(t), p, T).tolist()
     y = np.zeros(2)
-    tau = T
-    for _ in range(_RK4_STEPS):
+    for tau, end in zip(nodes[:-1], nodes[1:]):
+        h = end - tau  # negative: integrating backwards
         k1 = rhs(tau, y)
         k2 = rhs(tau + 0.5 * h, y + 0.5 * h * k1)
         k3 = rhs(tau + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(tau + h, y + h * k3)
+        k4 = rhs(end, y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau += h
     return float(y[0]), float(y[1])
+
+
+def _rk4_nodes(t: float, p: float, T: float) -> np.ndarray:
+    """The _RK4_STEPS + 1 nodes of perf_coeffs_rk4, from T down to t (both
+    exact), equally spaced in
+        v(tau) = tau + L log(tau + p) - L log(T - tau + 1),   L = (T - t)/8,
+    so that the steps shrink in proportion to tau + p near t and to T - tau + 1
+    near T.  SingularityError when (T - t)/(t + p) overflows.
+
+    Each node is inverted from v by Newton in y = log1p((tau - t)/c), c =
+    t + p, where tau - t = c expm1(y) keeps its precision however small c is.
+    In y, v is increasing and convex, so Newton from the right end falls
+    monotonically to each root; it stops once no node moves by 1e-12 in y."""
+    span, c = T - t, t + p
+    L = span / 8.0
+    y_end = math.log1p(span / c)
+    if y_end == math.inf:
+        raise SingularityError(f"(T - t)/(t + precision) overflows at t={t}, t + precision={c}")
+    # v - t - L log c in y, where x = tau - t = c expm1(y): x + L y - L log1p(span - x)
+    target = np.linspace(span + L * y_end, -L * math.log1p(span), _RK4_STEPS + 1)[1:-1]
+    y = np.full(target.shape, y_end)
+    for _ in range(_RK4_NEWTON_MAX):
+        ey = np.expm1(y)
+        rest = 1.0 + (span - c * ey)  # T - tau + 1
+        step = c * ey + L * y - L * np.log(rest) - target
+        step /= c * (1.0 + ey) * (1.0 + L / rest) + L  # dv/dy
+        y -= step
+        if np.abs(step).max() <= 1e-12:
+            break
+    return np.concatenate(([T], t + c * np.expm1(y), [t]))
 
 
 def _check_drift(a: float) -> None:

@@ -133,6 +133,32 @@ def test_coeffs_match_mpmath_for_tiny_t_plus_p(t, sigma, T):
         assert abs(value - ref) <= 1e-12 * ref
 
 
+@pytest.mark.parametrize(
+    "t, sigma, T",
+    [(0.0, 100.0, 2.0), (0.0, 1e3, 2.0), (0.0, 10.0, 50.0), (0.05, math.inf, 50.0)],
+)
+def test_rk4_matches_mpmath_where_equal_steps_were_unstable(t, sigma, T):
+    # 8000 equal steps left RK4's stability interval near tau = t, where
+    # 2h/(tau + p) > 2.8: they were off by 2.9e-3, 1e2, 4.7e-6 and 1.8e-8 here
+    mpmath = pytest.importorskip("mpmath")
+    got = perf_coeffs_rk4(t, GaussianPrior(sigma), ProblemSpec(horizon=T))
+    for value, ref in zip(got, _coeffs_mpmath(mpmath, t, sigma, T)):
+        assert abs(value - ref) <= 1e-11 * ref
+
+
+def test_rk4_grid_runs_exactly_from_T_to_t():
+    assert perf_coeffs_rk4(2.0, GaussianPrior(1.0), ProblemSpec(horizon=2.0)) == (0.0, 0.0)
+    for t, p, T in ((0.0, 1e-6, 2.0), (0.05, 0.0, 50.0), (0.107, 1e6, 0.119), (1500.0, 0.0, 5000.0)):
+        nodes = performance._rk4_nodes(t, p, T)
+        assert nodes.size == performance._RK4_STEPS + 1
+        assert nodes[0] == T and nodes[-1] == t
+        assert np.all(np.diff(nodes) < 0.0), (t, p, T)
+    # a subnormal precision, 1e-320: (T - t)/(t + p) overflows, and the grid
+    # refuses it as the quadrature does (equal steps returned F0 = 225)
+    with pytest.raises(SingularityError, match="overflows"):
+        perf_coeffs_rk4(0.0, GaussianPrior(1e160), ProblemSpec(horizon=2.0))
+
+
 def test_disagreeing_half_node_rule_raises(monkeypatch):
     perturbed = performance._WEIGHTS.copy()
     perturbed[performance._N_NODES :] *= 1.0 + 1e-6  # the half-node rule's weights

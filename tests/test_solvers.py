@@ -311,6 +311,40 @@ def test_roots_reach_their_small_horizon_limits():
     assert abs(lam_r.root - 1.2876026533) <= 1e-8
 
 
+def test_fueltax_solve_reaches_its_closed_form_small_horizon_limit():
+    # with tau = theta T and p = c T, the fuel tax at T -> 0 reduces to
+    # 3 J1(c) = (15/8) c^2 J0(c), lambda* = 1/(1 - 3 J1(c)) and sigma_ft sqrt(T)
+    # = 1/sqrt(c), where J_k = int_0^1 theta^k (1 - theta)^4/(theta + c)^2 d theta
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        j = lambda k, c: mpmath.quad(lambda th: th ** k * (1 - th) ** 4 / (th + c) ** 2, [0, 1])
+        c = mpmath.findroot(lambda c: 3 * j(1, c) - mpmath.mpf(15) / 8 * c * c * j(0, c), 0.43)
+        lam_0, sigma_0 = float(1 / (1 - 3 * j(1, c))), float(1 / mpmath.sqrt(c))
+    assert lam_0 == pytest.approx(1.2876026532642, abs=1e-13)
+    assert sigma_0 == pytest.approx(1.5212028925487, abs=1e-13)
+    for T in (1e-3, 1e-4, 1e-6):
+        lam_r, sig_r = solve_fueltax(T)
+        # the gaps are of order T^2: 1.3e-8 and 4.6e-8 at T = 1e-3
+        assert abs(lam_r.root - lam_0) <= 0.1 * T * T + 1e-13, T
+        assert abs(sig_r.root * math.sqrt(T) - sigma_0) <= 0.1 * T * T + 1e-13, T
+
+
+def test_fueltax_solves_evaluate_the_small_horizon_gaps_only_where_they_are_precise(monkeypatch):
+    # below T = 1 model.e_sharp_gap and e0_gap form s = T/sqrt(1 + mu), which
+    # is good to about 1e-16/mu relative; lambda* is near 1.29 there, and no
+    # solve asks for a mu below 0.22
+    seen = []
+    for name in ("e_sharp_gap", "e0_gap"):
+        gap = getattr(solvers, name)
+        monkeypatch.setattr(solvers, name, lambda T, mu, gap=gap: seen.append((T, mu)) or gap(T, mu))
+    sweep("fueltax", tuple(np.logspace(-8.0, 10.0, 73)))
+    sweep("fueltax", T_GRID_DEFAULT)
+    for T in (1e-6, 1e-3, 0.1, 0.5, 0.9):
+        solve_fueltax(T)
+    small_horizon = [mu for T, mu in seen if T < 1.0]
+    assert len(small_horizon) > 700 and min(small_horizon) >= 0.1
+
+
 def test_fueltax_solve_converges_where_the_differences_cancelled():
     # at T = 1e-3 e#_lambda - e# and e0_lambda - e0 are differences of numbers
     # near T^2/2 and T^3/3; formed from their series, the solve converges
