@@ -20,16 +20,22 @@ sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
 bit-identical to calling model.control_known_a at each step.
 
 monte_carlo_cost works through the paths in blocks of _CHUNK.  From
-_THREAD_MIN_STEPS steps per path on, one helper thread draws half of the
-first block's noise while the calling thread builds the gain table and draws
-the other half; then, while the calling thread steps block c, the helper
-draws block c + 1 (numpy's normal sampler releases the GIL).  Shorter paths
-are drawn and stepped block by block on the calling thread alone: _fill_noise
+_THREAD_MIN_STEPS steps per path on, both threads draw each block's noise
+from one shared iterator over its rows: a helper thread starts on block
+c + 1 while the calling thread steps block c (block 0: builds the gain
+table), and the calling thread then takes the rows left until the iterator
+runs dry and joins the helper.  numpy's normal sampler releases the GIL, and
+next() on a range iterator is atomic under it, as on every supported CPython
+(3.10 to 3.12, none free-threaded), so each row is drawn exactly once.  No
+split is fixed in advance: the thread with time to spare draws more rows,
+at whatever ratio of fill to step time the host gives.  Shorter paths are
+drawn and stepped block by block on the calling thread alone: _fill_noise
 takes the GIL back for every row, and with short rows the two threads spent
-longer passing it between them than the overlap saved.  Each block is scaled
-by sqrt(dt) in place as soon as it is drawn.  So at most two blocks are in
-memory, and on both paths the noise and the step order are those of a serial
-run.
+longer passing it between them than the overlap saved.  The noise is scaled
+by sqrt(dt) in place, a block at a time on one thread and a row at a time as
+it is drawn on two.  So at most two blocks are in memory, and on both paths
+every row holds its own path's noise, whichever thread drew it, and the
+steps run in the order of a serial run.
 """
 
 from __future__ import annotations
@@ -172,12 +178,17 @@ def _check_philox_word(name: str, value) -> None:
         raise DomainError(f"{name} must be in [0, 2**64), got {value}")
 
 
-def _fill_noise(out: np.ndarray, seed: int, first: int) -> None:
-    """Fill row r of out with the standard-normal increments of path first + r.
+def _fill_noise(
+    out: np.ndarray, seed: int, first: int, rows=None, scale: float | None = None
+) -> None:
+    """Fill row r of out with the standard-normal increments of path first + r,
+    for each r that rows yields (default: every row), times scale if given.
 
     Each path has its own Philox stream, keyed on (seed, path index) with the
     counter at 0.  One generator serves every row: resetting its state to the
-    row's key gives the draws of a fresh generator without building one.
+    row's key gives the draws of a fresh generator without building one.  So
+    a row's bits do not depend on which rows, or which thread, came before.
+    Each row is scaled as soon as it is drawn, while it is still in cache.
     """
     bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
@@ -186,10 +197,13 @@ def _fill_noise(out: np.ndarray, seed: int, first: int) -> None:
     state["state"] = {name: words.tolist() for name, words in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    for r, row in enumerate(out):
+    for r in range(len(out)) if rows is None else rows:
         key[1] = first + r
         bitgen.state = state
+        row = out[r]
         rng.standard_normal(out=row)
+        if scale is not None:
+            row *= scale
 
 
 def path_noise(seed: int, path_index: int, n_steps: int) -> np.ndarray:
@@ -302,7 +316,8 @@ def monte_carlo_cost(
     n_paths = config.n_paths
     sqrt_dt = math.sqrt(config.dt)
     costs = np.empty(n_paths)
-    # Block buffers, reused: the helper, if any, fills one while this thread steps the other.
+    # Block buffers, reused: on two threads, the next block is drawn into one
+    # while this thread steps the other.
     threaded = config.n_steps >= _THREAD_MIN_STEPS
     shape = (min(_CHUNK, n_paths), config.n_steps)
     buf = np.empty(shape)
@@ -311,32 +326,39 @@ def monte_carlo_cost(
     def block(start: int) -> np.ndarray:
         return buffers[start // _CHUNK % 2][:n_paths - start]
 
-    def draw(rows: np.ndarray, first: int) -> np.ndarray:
-        _fill_noise(rows, config.seed, first)
-        rows *= sqrt_dt  # in place: a scaled copy would be a third block
-        return rows
-
     if not threaded:
         table = strategy.gain_table(config)
         for start in range(0, n_paths, _CHUNK):
-            costs[start:start + _CHUNK] = _run_block(table, config, draw(block(start), start))[0]
+            noise = block(start)
+            _fill_noise(noise, config.seed, start)
+            noise *= sqrt_dt  # in place: a scaled copy would be a second block
+            costs[start:start + _CHUNK] = _run_block(table, config, noise)[0]
     else:
         from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
 
+        def draw_during(first: int, work, *args):
+            """Draw block first on both threads: the helper starts on it at once,
+            this thread joins in once work(*args) is done.  Both take rows from
+            one iterator, whose next() is atomic under the GIL, until it runs
+            dry.  Returns work's result once every row is drawn."""
+            rows = block(first)
+            todo = iter(range(len(rows)))
+            pending = helper.submit(_fill_noise, rows, config.seed, first, todo, sqrt_dt)
+            result = work(*args)
+            _fill_noise(rows, config.seed, first, todo, sqrt_dt)
+            pending.result()
+            return result
+
         # Leaving the with-block, on success or error, waits for the helper.
         with ThreadPoolExecutor(max_workers=1) as helper:
-            noise = block(0)
-            half = len(noise) // 2
-            pending = helper.submit(draw, noise[half:], half)
-            table = strategy.gain_table(config)
-            draw(noise[:half], 0)
-            pending.result()
+            table = draw_during(0, strategy.gain_table, config)
             for start in range(0, n_paths, _CHUNK):
                 following = start + _CHUNK
-                pending = helper.submit(draw, block(following), following) if following < n_paths else None
-                costs[start:following] = _run_block(table, config, noise)[0]
-                if pending is not None:
-                    noise = pending.result()
+                if following < n_paths:
+                    costs[start:following] = draw_during(
+                        following, _run_block, table, config, block(start))[0]
+                else:
+                    costs[start:] = _run_block(table, config, block(start))[0]
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else math.inf
     return CostEstimate(mean, se, config.n_paths, costs if keep_costs else None)

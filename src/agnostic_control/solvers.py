@@ -60,7 +60,13 @@ _MAX_ITER = 200
 _STEP_MAX = math.log(4.0)
 #: (C, slope, K, m) of each solve's start: sigma sqrt(T) at the root and the
 #: residual's slope in log sigma there, both as T -> 0; past T = 20 the roots
-#: follow K (log10 T)^m, within 1.1 % up to T = 1e10.
+#: follow K (log10 T)^m, within 1.1 % up to T = 1e10.  C is 1/sqrt(c),
+#: rounded, where c solves the T -> 0 balance of each residual with tau =
+#: theta T, p = c T and J_k(c) = int_0^1 theta^k (1 - theta)^4/(theta + c)^2
+#: d theta: 3 c^2 J0 = 2 J1 for sigma* (1/sqrt(c) = 1.9624658742865), 3 J1 =
+#: (15/8) c^2 J0 for sigma_ft (1.5212028925487); tests/test_solvers.py checks
+#: both.  C stays as written: another start moves the roots' last digits,
+#: and with them the golden outputs.
 _SIGMA_MR_START = (1.962466, -3.37, 0.916, -0.602)
 _FUELTAX_START = (1.5212, -3.5, 0.726, -0.647)
 

@@ -1,6 +1,8 @@
 """Euler-Maruyama simulator: exact degenerate cases, statistics, reproducibility."""
 
+import itertools
 import math
+import sys
 import threading
 from dataclasses import replace
 
@@ -194,13 +196,17 @@ def test_path_streams_independent_of_chunking():
 
 @pytest.mark.parametrize("strategy", [
     make_strategy("bayes", sigma=1.5), make_strategy("zero_control"),
+    make_strategy("known_a", a=0.5), make_strategy("bayes_improper"),
 ])
 def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
-    # from _THREAD_MIN_STEPS steps on, noise for block c + 1 is drawn on a
-    # helper thread while block c steps; below, each block is drawn, then
-    # stepped.  The costs must be those of a serial path-by-path run, whatever
-    # the block size, on both paths
-    cfg = small_config(a_true=0.5, n_paths=50, seed=4)
+    # from _THREAD_MIN_STEPS steps on, both threads draw each block's noise
+    # from one row iterator, the next block's while this one steps; below,
+    # each block is drawn, then stepped, on the calling thread.  The costs
+    # must be those of a serial path-by-path run, whatever the block size,
+    # on both paths
+    # (the improper prior needs an observation phase)
+    t_start = 0.5 if strategy.name == "bayes_improper" else 0.0
+    cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=0.5, n_paths=50, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
     table, scaled = strategy.gain_table(cfg), math.sqrt(cfg.dt) * noise
     serial = np.concatenate([simulate._run_block(table, cfg, scaled[i:i + 1])[0]
@@ -215,6 +221,43 @@ def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
         assert simulate_path(strategy, cfg, path_index=i)[1] == serial[i]
 
 
+def test_rows_drawn_from_a_shared_iterator_match_a_serial_fill():
+    # any split of the rows, between calls or between threads, draws each row
+    # once with its own path's bits; a skipped row would keep its NaN (in a
+    # run, a stale block's noise)
+    seed, first, scale = 9, 1000, math.sqrt(0.01)
+    serial = np.empty((37, 50))
+    simulate._fill_noise(serial, seed, first)
+    scaled = serial * scale
+
+    split = np.full_like(serial, np.nan)
+    todo = iter(range(len(split)))
+    simulate._fill_noise(split, seed, first, itertools.islice(todo, 11))
+    simulate._fill_noise(split, seed, first, todo)
+    assert split.tobytes() == serial.tobytes()
+
+    # more threads than cores, switching as often as the interpreter allows
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rows_scale, expected in ((None, serial), (scale, scaled)):
+            shared = np.full_like(serial, np.nan)
+            todo = iter(range(len(shared)))
+            helpers = [threading.Thread(target=simulate._fill_noise,
+                                        args=(shared, seed, first, todo, rows_scale))
+                       for _ in range(4)]
+            for helper in helpers:
+                helper.start()
+            simulate._fill_noise(shared, seed, first, todo, rows_scale)
+            for helper in helpers:
+                helper.join(timeout=30)
+                assert not helper.is_alive()
+            assert not np.isnan(shared).any()
+            assert shared.tobytes() == expected.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_error_in_first_block_leaves_no_helper_thread(monkeypatch):
     monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", 0)
@@ -223,6 +266,26 @@ def test_error_in_first_block_leaves_no_helper_thread(monkeypatch):
     before = threading.active_count()
     with pytest.raises(NonFiniteError):
         monte_carlo_cost(make_strategy("known_a", a=1e200), cfg)
+    assert threading.active_count() == before
+
+
+def test_error_in_a_later_block_leaves_no_helper_thread(monkeypatch):
+    # the helper is drawing block 2 when block 1 fails to step
+    monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", 0)
+    monkeypatch.setattr(simulate, "_CHUNK", 7)
+    run_block, blocks = simulate._run_block, []
+
+    def failing_second(table, config, noise, record=False):
+        blocks.append(len(noise))
+        if len(blocks) == 2:
+            raise NonFiniteError("second block")
+        return run_block(table, config, noise, record)
+
+    monkeypatch.setattr(simulate, "_run_block", failing_second)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError, match="second block"):
+        monte_carlo_cost(make_strategy("bayes", sigma=1.5), small_config(n_paths=50))
+    assert blocks == [7, 7]
     assert threading.active_count() == before
 
 

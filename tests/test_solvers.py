@@ -303,12 +303,32 @@ def test_solves_converge_from_tiny_to_huge_horizons():
 
 def test_roots_reach_their_small_horizon_limits():
     # sigma* sqrt(T) -> 1.962466, sigma_ft sqrt(T) -> 1.5212 and lambda* ->
-    # 1.2876026533, each with a gap of order T
+    # 1.2876026533, each with a gap of order T; the limits are 1/sqrt(c) for
+    # the roots c of 3 c^2 J0(c) = 2 J1(c) (sigma*) and of 3 J1(c) = (15/8)
+    # c^2 J0(c) (the fuel tax), derived in the two closed-form tests below
     T = 1e-6
     assert abs(solve_sigma_mr(T).root * math.sqrt(T) - 1.962466) <= 1e-6
     lam_r, sig_r = solve_fueltax(T)
     assert abs(sig_r.root * math.sqrt(T) - 1.5212) <= 1e-4
     assert abs(lam_r.root - 1.2876026533) <= 1e-8
+
+
+def test_sigma_mr_solve_reaches_its_closed_form_small_horizon_limit():
+    # with tau = theta T and p = c T, the balance that makes the cost ratio
+    # constant in a reduces at T -> 0 to 3 c^2 J0(c) = 2 J1(c), and sigma*
+    # sqrt(T) = 1/sqrt(c), where J_k = int_0^1 theta^k (1 - theta)^4/(theta +
+    # c)^2 d theta
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        j = lambda k, c: mpmath.quad(lambda th: th ** k * (1 - th) ** 4 / (th + c) ** 2, [0, 1])
+        c = mpmath.findroot(lambda c: 3 * c * c * j(0, c) - 2 * j(1, c), 0.26)
+        c_0, sigma_0 = float(c), float(1 / mpmath.sqrt(c))
+    assert c_0 == pytest.approx(0.25965445185231, abs=1e-13)
+    assert sigma_0 == pytest.approx(1.9624658742865, abs=1e-13)
+    for T in (1e-2, 1e-3, 1e-4, 1e-6):
+        # the gaps are of order T^2 down to the floor F_TOL sets: 5.7e-6 at
+        # T = 1e-2, 5.7e-8 at 1e-3, 5.7e-10 at 1e-4 and 1.8e-10 at 1e-6
+        assert abs(solve_sigma_mr(T).root * math.sqrt(T) - sigma_0) <= 0.1 * T * T + 1e-9, T
 
 
 def test_fueltax_solve_reaches_its_closed_form_small_horizon_limit():
