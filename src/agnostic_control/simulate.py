@@ -19,23 +19,25 @@ u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt, dq = (a + u) dt +
 sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
 bit-identical to calling model.control_known_a at each step.
 
-monte_carlo_cost works through the paths in blocks of _CHUNK.  From
-_THREAD_MIN_STEPS steps per path on, both threads draw each block's noise
-from one shared iterator over its rows: a helper thread starts on block
-c + 1 while the calling thread steps block c (block 0: builds the gain
-table), and the calling thread then takes the rows left until the iterator
-runs dry and joins the helper.  numpy's normal sampler releases the GIL, and
-next() on a range iterator is atomic under it, as on every supported CPython
-(3.10 to 3.12, none free-threaded), so each row is drawn exactly once.  No
-split is fixed in advance: the thread with time to spare draws more rows,
-at whatever ratio of fill to step time the host gives.  Shorter paths are
-drawn and stepped block by block on the calling thread alone: _fill_noise
-takes the GIL back for every row, and with short rows the two threads spent
-longer passing it between them than the overlap saved.  The noise is scaled
-by sqrt(dt) in place, a block at a time on one thread and a row at a time as
-it is drawn on two.  So at most two blocks are in memory, and on both paths
-every row holds its own path's noise, whichever thread drew it, and the
-steps run in the order of a serial run.
+monte_carlo_cost works through the paths in blocks of _CHUNK, in one
+step-major buffer: column r holds the noise of path start + r, so that each
+step reads its noise as one contiguous row.  Each block is first filled,
+then stepped; no noise is drawn while a block steps.  From _THREAD_MIN_STEPS
+steps per path on, a helper thread fills each block beside the calling
+thread (which, for block 0, first builds the gain table).  Both take tiles
+of _TILE paths from one shared iterator until it runs dry: numpy's normal
+sampler and the scaling multiply release the GIL, and next() on a range
+iterator is atomic under it, as on every supported CPython (3.10 to 3.12,
+none free-threaded), so each tile is drawn exactly once, and the thread
+with time to spare draws more.  Each thread draws a tile's paths as rows of
+its own scratch and scales the whole tile by sqrt(dt) into its columns in
+one multiply.  Shorter paths are filled on the calling thread alone: with
+short rows the two threads spent longer passing the GIL between them than
+the second one saved.  Filling never overlaps stepping: the fill and the
+stepping loop's small ufunc calls pass the GIL back and forth and slow each
+other about two-fold, and an overlap would keep a second block in memory.
+So one block is in memory, every column holds its own path's noise,
+whichever thread drew it, and the steps run in the order of a serial run.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .performance import _check_drift, regret_form
 
 MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
+#: Paths drawn per tile into the step-major block.
+_TILE = 64
 #: Fewest steps per path at which monte_carlo_cost draws noise on a helper thread.
 _THREAD_MIN_STEPS = 600
 
@@ -179,17 +183,21 @@ def _check_philox_word(name: str, value) -> None:
 
 
 def _fill_noise(
-    out: np.ndarray, seed: int, first: int, rows=None, scale: float | None = None
+    out: np.ndarray, seed: int, first: int, scale: float = 1.0, tiles=None
 ) -> None:
-    """Fill row r of out with the standard-normal increments of path first + r,
-    for each r that rows yields (default: every row), times scale if given.
+    """Fill column r of the step-major out (n_steps x paths) with the
+    standard-normal increments of path first + r times scale, in tiles of
+    _TILE paths: for each tile start that tiles yields (default: every tile).
 
     Each path has its own Philox stream, keyed on (seed, path index) with the
-    counter at 0.  One generator serves every row: resetting its state to the
-    row's key gives the draws of a fresh generator without building one.  So
-    a row's bits do not depend on which rows, or which thread, came before.
-    Each row is scaled as soon as it is drawn, while it is still in cache.
+    counter at 0.  One generator serves every path: resetting its state to the
+    path's key gives the draws of a fresh generator without building one.  So
+    a path's bits do not depend on which paths, or which thread, came before.
+    The sampler writes only contiguous rows, so a tile's paths are drawn as
+    rows of a scratch of this call's own and scaled into out in one multiply.
     """
+    n_steps, n_paths = out.shape
+    scratch = np.empty((min(_TILE, n_paths), n_steps))
     bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     state = bitgen.state  # counter 0 and an empty buffer
@@ -197,20 +205,20 @@ def _fill_noise(
     state["state"] = {name: words.tolist() for name, words in state["state"].items()}
     state["buffer"] = state["buffer"].tolist()
     key = state["state"]["key"]
-    for r in range(len(out)) if rows is None else rows:
-        key[1] = first + r
-        bitgen.state = state
-        row = out[r]
-        rng.standard_normal(out=row)
-        if scale is not None:
-            row *= scale
+    for r in range(0, n_paths, _TILE) if tiles is None else tiles:
+        tile = scratch[:n_paths - r]
+        for i, row in enumerate(tile):
+            key[1] = first + r + i
+            bitgen.state = state
+            rng.standard_normal(out=row)
+        np.multiply(tile.T, scale, out=out[:, r:r + len(tile)])
 
 
 def path_noise(seed: int, path_index: int, n_steps: int) -> np.ndarray:
     """Standard-normal increments for one path from its own Philox stream."""
-    out = np.empty((1, n_steps))
+    out = np.empty((n_steps, 1))
     _fill_noise(out, seed, path_index)
-    return out[0]
+    return out[:, 0]
 
 
 def _control(row: tuple, q: np.ndarray, xi: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> None:
@@ -316,49 +324,23 @@ def monte_carlo_cost(
     n_paths = config.n_paths
     sqrt_dt = math.sqrt(config.dt)
     costs = np.empty(n_paths)
-    # Block buffers, reused: on two threads, the next block is drawn into one
-    # while this thread steps the other.
+    steps = np.empty((config.n_steps, min(_CHUNK, n_paths)))  # the block, step-major
     threaded = config.n_steps >= _THREAD_MIN_STEPS
-    shape = (min(_CHUNK, n_paths), config.n_steps)
-    buf = np.empty(shape)
-    buffers = (buf, np.empty(shape) if threaded and n_paths > _CHUNK else buf)
+    from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
 
-    def block(start: int) -> np.ndarray:
-        return buffers[start // _CHUNK % 2][:n_paths - start]
-
-    if not threaded:
-        table = strategy.gain_table(config)
+    # Leaving the with-block, on success or error, waits for the helper.
+    with ThreadPoolExecutor(max_workers=1) as helper:
         for start in range(0, n_paths, _CHUNK):
-            noise = block(start)
-            _fill_noise(noise, config.seed, start)
-            noise *= sqrt_dt  # in place: a scaled copy would be a second block
-            costs[start:start + _CHUNK] = _run_block(table, config, noise)[0]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
-
-        def draw_during(first: int, work, *args):
-            """Draw block first on both threads: the helper starts on it at once,
-            this thread joins in once work(*args) is done.  Both take rows from
-            one iterator, whose next() is atomic under the GIL, until it runs
-            dry.  Returns work's result once every row is drawn."""
-            rows = block(first)
-            todo = iter(range(len(rows)))
-            pending = helper.submit(_fill_noise, rows, config.seed, first, todo, sqrt_dt)
-            result = work(*args)
-            _fill_noise(rows, config.seed, first, todo, sqrt_dt)
-            pending.result()
-            return result
-
-        # Leaving the with-block, on success or error, waits for the helper.
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            table = draw_during(0, strategy.gain_table, config)
-            for start in range(0, n_paths, _CHUNK):
-                following = start + _CHUNK
-                if following < n_paths:
-                    costs[start:following] = draw_during(
-                        following, _run_block, table, config, block(start))[0]
-                else:
-                    costs[start:] = _run_block(table, config, block(start))[0]
+            block = steps[:, :n_paths - start]
+            tiles = iter(range(0, block.shape[1], _TILE))
+            args = (block, config.seed, start, sqrt_dt, tiles)
+            pending = helper.submit(_fill_noise, *args) if threaded else None
+            if start == 0:
+                table = strategy.gain_table(config)
+            _fill_noise(*args)
+            if pending is not None:
+                pending.result()
+            costs[start:start + _CHUNK] = _run_block(table, config, block.T)[0]
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else math.inf
     return CostEstimate(mean, se, config.n_paths, costs if keep_costs else None)

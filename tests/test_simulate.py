@@ -1,9 +1,11 @@
 """Euler-Maruyama simulator: exact degenerate cases, statistics, reproducibility."""
 
+import gc
 import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -199,56 +201,58 @@ def test_path_streams_independent_of_chunking():
     make_strategy("known_a", a=0.5), make_strategy("bayes_improper"),
 ])
 def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
-    # from _THREAD_MIN_STEPS steps on, both threads draw each block's noise
-    # from one row iterator, the next block's while this one steps; below,
-    # each block is drawn, then stepped, on the calling thread.  The costs
-    # must be those of a serial path-by-path run, whatever the block size,
-    # on both paths
+    # from _THREAD_MIN_STEPS steps on, both threads fill each block from one
+    # tile iterator; below, the calling thread fills it alone.  The costs
+    # must be those of a serial path-by-path run, whatever the block size and
+    # wherever the tile and block edges fall (7 and 100 are not multiples of
+    # _TILE; 2 * chunk + 1 paths end on a one-path block), on both paths
     # (the improper prior needs an observation phase)
     t_start = 0.5 if strategy.name == "bayes_improper" else 0.0
-    cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=0.5, n_paths=50, seed=4)
+    cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=0.5, n_paths=201, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
     table, scaled = strategy.gain_table(cfg), math.sqrt(cfg.dt) * noise
     serial = np.concatenate([simulate._run_block(table, cfg, scaled[i:i + 1])[0]
                              for i in range(cfg.n_paths)])
+    cases = [(chunk, 50) for chunk in (7, 50, 4096)]
+    cases += [(chunk, n) for chunk in (7, 100) for n in (63, 64, 65, 2 * chunk + 1)]
     for min_steps in (0, cfg.n_steps + 1):
         monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", min_steps)
-        for chunk in (7, cfg.n_paths, 4096):
+        for chunk, n_paths in cases:
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
-            costs = monte_carlo_cost(strategy, cfg, keep_costs=True).costs
-            assert costs.tobytes() == serial.tobytes(), (min_steps, chunk)
-    for i in range(cfg.n_paths):
+            costs = monte_carlo_cost(strategy, replace(cfg, n_paths=n_paths), keep_costs=True).costs
+            assert costs.tobytes() == serial[:n_paths].tobytes(), (min_steps, chunk, n_paths)
+    for i in range(50):
         assert simulate_path(strategy, cfg, path_index=i)[1] == serial[i]
 
 
-def test_rows_drawn_from_a_shared_iterator_match_a_serial_fill():
-    # any split of the rows, between calls or between threads, draws each row
-    # once with its own path's bits; a skipped row would keep its NaN (in a
-    # run, a stale block's noise)
+def test_tiles_drawn_from_a_shared_iterator_match_a_serial_fill():
+    # any split of the tiles, between calls or between threads, draws each
+    # path once with its own bits into its own column; a skipped tile would
+    # keep its NaN (in a run, the previous block's noise)
     seed, first, scale = 9, 1000, math.sqrt(0.01)
-    serial = np.empty((37, 50))
-    simulate._fill_noise(serial, seed, first)
+    serial = np.stack([path_noise(seed, first + r, 50) for r in range(150)], axis=1)
     scaled = serial * scale
+    tile_starts = range(0, serial.shape[1], simulate._TILE)
 
     split = np.full_like(serial, np.nan)
-    todo = iter(range(len(split)))
-    simulate._fill_noise(split, seed, first, itertools.islice(todo, 11))
-    simulate._fill_noise(split, seed, first, todo)
+    todo = iter(tile_starts)
+    simulate._fill_noise(split, seed, first, 1.0, itertools.islice(todo, 1))
+    simulate._fill_noise(split, seed, first, 1.0, todo)
     assert split.tobytes() == serial.tobytes()
 
     # more threads than cores, switching as often as the interpreter allows
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for rows_scale, expected in ((None, serial), (scale, scaled)):
+        for tile_scale, expected in ((1.0, serial), (scale, scaled)):
             shared = np.full_like(serial, np.nan)
-            todo = iter(range(len(shared)))
+            todo = iter(tile_starts)
             helpers = [threading.Thread(target=simulate._fill_noise,
-                                        args=(shared, seed, first, todo, rows_scale))
+                                        args=(shared, seed, first, tile_scale, todo))
                        for _ in range(4)]
             for helper in helpers:
                 helper.start()
-            simulate._fill_noise(shared, seed, first, todo, rows_scale)
+            simulate._fill_noise(shared, seed, first, tile_scale, todo)
             for helper in helpers:
                 helper.join(timeout=30)
                 assert not helper.is_alive()
@@ -256,6 +260,57 @@ def test_rows_drawn_from_a_shared_iterator_match_a_serial_fill():
             assert shared.tobytes() == expected.tobytes()
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_fill_error_on_the_helper_propagates_and_leaves_no_thread(monkeypatch):
+    # the helper takes one tile, then fails on its second; the calling
+    # thread draws the rest and must raise the helper's error, not hang
+    monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", 0)
+    monkeypatch.setattr(simulate, "_CHUNK", 100)
+    fill, errors = simulate._fill_noise, []
+
+    def helper_fails_on_second_tile(out, seed, first, scale=1.0, tiles=None):
+        if threading.current_thread() is caller:
+            return fill(out, seed, first, scale, tiles)
+        fill(out, seed, first, scale, itertools.islice(tiles, 1))
+        raise RuntimeError("helper's second tile")
+
+    def run():
+        try:
+            monte_carlo_cost(make_strategy("bayes", sigma=1.5), small_config(n_paths=250))
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(simulate, "_fill_noise", helper_fails_on_second_tile)
+    before = threading.active_count()
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in errors] == ["helper's second tile"]
+    assert threading.active_count() == before
+
+
+def test_one_block_in_memory_and_freed_after_the_call():
+    # the threaded path at the default block size, ending on a one-path
+    # block; with the collector off, a reference cycle that kept the block
+    # alive would show in the memory left after the call
+    cfg = small_config(spec=ProblemSpec(horizon=0.6), dt=1e-3, n_paths=2 * simulate._CHUNK + 1)
+    assert cfg.n_steps >= simulate._THREAD_MIN_STEPS
+    block_bytes = simulate._CHUNK * cfg.n_steps * 8
+    strategy = make_strategy("bayes", sigma=1.5)
+    monte_carlo_cost(strategy, cfg)  # lazy imports and first-call caches
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        monte_carlo_cost(strategy, cfg)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - before < 1.25 * block_bytes
+    assert abs(after - before) < 0.01 * block_bytes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
