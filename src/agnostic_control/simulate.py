@@ -324,7 +324,7 @@ def monte_carlo_cost(
     n_paths = config.n_paths
     sqrt_dt = math.sqrt(config.dt)
     costs = np.empty(n_paths)
-    steps = np.empty((config.n_steps, min(_CHUNK, n_paths)))  # the block, step-major
+    steps = np.empty((config.n_steps, min(_CHUNK, n_paths)))  # column r: path start + r
     threaded = config.n_steps >= _THREAD_MIN_STEPS
     from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
 
