@@ -32,6 +32,7 @@ gamma + delta a^2 is the opponent's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -228,7 +229,9 @@ def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[
     steps of _rk4_nodes.  Used to cross-check perf_coeffs: the steps shrink
     with tau + p near t, where 2 F0/(t + p) is stiff, and with the remaining
     time near T, where e1 rises, so the steps stay well inside RK4's
-    stability interval for every prior width.
+    stability interval for every prior width.  SingularityError where (t +
+    p)^2 falls below the smallest normal float, where the second equation
+    would divide by an underflowed square.
     """
     _check_time(t, spec)
     if prior.is_improper and t <= 0.0:
@@ -247,6 +250,8 @@ def perf_coeffs_rk4(t: float, prior: GaussianPrior, spec: ProblemSpec) -> tuple[
         )
 
     nodes = _rk4_nodes(float(t), p, T).tolist()
+    if (t + p) * (t + p) < sys.float_info.min:  # rhs divides by (tau + p)^2
+        raise SingularityError(f"(t + precision)^2 underflows at t={t}, t + precision={t + p}")
     y = np.zeros(2)
     for tau, end in zip(nodes[:-1], nodes[1:]):
         h = end - tau  # negative: integrating backwards

@@ -19,25 +19,36 @@ u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt, dq = (a + u) dt +
 sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
 bit-identical to calling model.control_known_a at each step.
 
-monte_carlo_cost works through the paths in blocks of _CHUNK, in one
-step-major buffer: column r holds the noise of path start + r, so that each
-step reads its noise as one contiguous row.  Each block is first filled,
-then stepped; no noise is drawn while a block steps.  From _THREAD_MIN_STEPS
-steps per path on, a helper thread fills each block beside the calling
-thread (which, for block 0, first builds the gain table).  Both take tiles
+monte_carlo_cost works through the paths in blocks of _CHUNK, and through
+each block's steps in windows of _WINDOW, in one step-major buffer of
+_WINDOW x min(_CHUNK, n_paths): column r holds the noise of path start + r,
+so that each step reads its noise as one contiguous row.  Each window is
+first filled, then stepped; no noise is drawn while a window steps, and the
+block's state (q, xi, cost, u) carries from one window into the next.  So the
+noise takes 8 B x _WINDOW x min(_CHUNK, n_paths) at any horizon, 16.4 MB at
+most; the gain table, about 130 B a step, still grows with the horizon.  A
+run of more than _WINDOW steps also keeps one generator per column for the
+call (about 0.6 kB each), built up front on the calling thread and keyed
+afresh at each block's first window, so that each path's stream goes on in
+the next window where it stopped, and puts its buffer on a mapping of its
+own that goes back to the system when the call returns (_window_buffer).  A
+shorter run does neither: it draws each block's noise from each path's key
+into a buffer from np.empty, as a single window.  From _THREAD_MIN_STEPS
+steps in a window on, a helper thread fills it beside the calling thread
+(which, for the first window, first builds the gain table).  Both take tiles
 of _TILE paths from one shared iterator until it runs dry: numpy's normal
 sampler and the scaling multiply release the GIL, and next() on a range
 iterator is atomic under it, as on every supported CPython (3.10 to 3.12,
-none free-threaded), so each tile is drawn exactly once, and the thread
-with time to spare draws more.  Each thread draws a tile's paths as rows of
-its own scratch and scales the whole tile by sqrt(dt) into its columns in
-one multiply.  Shorter paths are filled on the calling thread alone: with
-short rows the two threads spent longer passing the GIL between them than
-the second one saved.  Filling never overlaps stepping: the fill and the
-stepping loop's small ufunc calls pass the GIL back and forth and slow each
-other about two-fold, and an overlap would keep a second block in memory.
-So one block is in memory, every column holds its own path's noise,
-whichever thread drew it, and the steps run in the order of a serial run.
+none free-threaded), so each tile is drawn exactly once, and the thread with
+time to spare draws more.  Each thread draws a tile's paths as rows of its
+own scratch and scales the whole tile by sqrt(dt) into its columns in one
+multiply.  Shorter windows are filled on the calling thread alone: with short
+rows the two threads spent longer passing the GIL between them than the
+second one saved.  Filling never overlaps stepping: the fill and the stepping
+loop's small ufunc calls pass the GIL back and forth and slow each other
+about two-fold, and an overlap would keep a second window in memory.  So one
+window is in memory, every column holds its own path's noise, whichever
+thread drew it, and the steps run in the order of a serial run.
 """
 
 from __future__ import annotations
@@ -57,7 +68,9 @@ MAX_TOTAL_STEPS = 10 ** 9
 _CHUNK = 2048
 #: Paths drawn per tile into the step-major block.
 _TILE = 64
-#: Fewest steps per path at which monte_carlo_cost draws noise on a helper thread.
+#: Steps per window: monte_carlo_cost draws and steps a block this many steps at a time.
+_WINDOW = 1000
+#: Fewest steps in a window at which monte_carlo_cost draws noise on a helper thread.
 _THREAD_MIN_STEPS = 600
 
 
@@ -183,23 +196,35 @@ def _check_philox_word(name: str, value) -> None:
 
 
 def _fill_noise(
-    out: np.ndarray, seed: int, first: int, scale: float = 1.0, tiles=None
+    out: np.ndarray,
+    seed: int,
+    first: int,
+    scale: float = 1.0,
+    tiles=None,
+    rngs: list | None = None,
+    restart: bool = True,
 ) -> None:
-    """Fill column r of the step-major out (n_steps x paths) with the
-    standard-normal increments of path first + r times scale, in tiles of
-    _TILE paths: for each tile start that tiles yields (default: every tile).
+    """Fill column r of the step-major out (steps x paths) with standard-normal
+    increments of path first + r times scale, in tiles of _TILE paths: for
+    each tile start that tiles yields (default: every tile).
 
     Each path has its own Philox stream, keyed on (seed, path index) with the
-    counter at 0.  One generator serves every path: resetting its state to the
-    path's key gives the draws of a fresh generator without building one.  So
-    a path's bits do not depend on which paths, or which thread, came before.
-    The sampler writes only contiguous rows, so a tile's paths are drawn as
-    rows of a scratch of this call's own and scaled into out in one multiply.
+    counter at 0.  Without rngs one generator serves every path: resetting its
+    state to the path's key gives the draws of a fresh generator without
+    building one, so out gets the first rows of each stream.  With rngs,
+    rngs[r] is column r's own generator, kept across calls: with restart it is
+    reset to its path's key first, and without it goes on where its last draw
+    stopped, so that consecutive windows of steps get consecutive draws.
+    Either way a path's bits do not depend on which paths, or which thread,
+    came before.  The sampler writes only contiguous rows, so a tile's paths
+    are drawn as rows of a scratch of this call's own and scaled into out in
+    one multiply.
     """
     n_steps, n_paths = out.shape
     scratch = np.empty((min(_TILE, n_paths), n_steps))
     bitgen = np.random.Philox(key=np.array([seed, first], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
+    if rngs is None:
+        rngs = [np.random.Generator(bitgen)] * n_paths
     state = bitgen.state  # counter 0 and an empty buffer
     # as lists, which the state setter reads in a third of the time arrays take
     state["state"] = {name: words.tolist() for name, words in state["state"].items()}
@@ -208,8 +233,10 @@ def _fill_noise(
     for r in range(0, n_paths, _TILE) if tiles is None else tiles:
         tile = scratch[:n_paths - r]
         for i, row in enumerate(tile):
-            key[1] = first + r + i
-            bitgen.state = state
+            rng = rngs[r + i]
+            if restart:
+                key[1] = first + r + i
+                rng.bit_generator.state = state
             rng.standard_normal(out=row)
         np.multiply(tile.T, scale, out=out[:, r:r + len(tile)])
 
@@ -241,21 +268,27 @@ def _run_block(
     config: SimConfig,
     noise: np.ndarray,
     record: bool = False,
+    state: np.ndarray | None = None,
+    k_first: int = 0,
 ):
-    """Advance a block of paths; returns (costs, trajectory or None, q, xi).
+    """Advance a block of paths over steps k_first, ..., k_first +
+    noise.shape[1] - 1; returns (costs, trajectory or None, q, xi).
 
     table is the strategy's gain_table(config).  noise has shape
-    (n_paths_in_block, n_steps) and holds the increments sqrt(dt) * N(0, 1).
+    (n_paths_in_block, steps) and holds the increments sqrt(dt) * N(0, 1).
     The trajectory, recorded only for single-path runs, has rows (t, q, xi, u)
-    at each step start.  The paths step in place on six vectors; u stays 0
-    until the first controlled step k_start, and for zero_control throughout.
+    at each step start.  The paths step in place on six vectors, the rows of
+    state (q, xi, cost, u and two scratch rows; zeros at step 0 when None), so
+    a later call on the same state goes on from the last step of this one.
+    u stays 0 until the first controlled step k_start, and for zero_control
+    throughout.
     """
     dt, a = config.dt, config.a_true
     k0 = config.k_start
-    q, xi, cost, u, dq, tmp = np.zeros((6, noise.shape[0]))
+    q, xi, cost, u, dq, tmp = np.zeros((6, noise.shape[0])) if state is None else state
     rows = [] if record else None
 
-    for k in range(config.n_steps):
+    for k, increment in zip(range(k_first, k_first + noise.shape[1]), noise.T):
         if k >= k0:
             if table is not None:
                 _control(table[k - k0], q, xi, u, tmp)
@@ -268,7 +301,7 @@ def _run_block(
             rows.append((k * dt, float(q[0]), float(xi[0]), float(u[0])))
         np.add(u, a, out=dq)
         dq *= dt
-        dq += noise[:, k]
+        dq += increment
         q += dq
         xi += dq
         np.multiply(u, dt, out=tmp)
@@ -315,32 +348,57 @@ def _check_budget(config: SimConfig, n_paths: int | None = None) -> None:
         )
 
 
+def _window_buffer(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised rows x cols float array on an anonymous mapping of its
+    own, whose pages go back to the system when the last view of it is freed.
+    A malloc'd buffer of this size sits on glibc's heap from the second call
+    on (its mmap threshold rises to the size of the last large block freed),
+    where the caller's allocations between calls can split the freed block,
+    so that the next call's buffer adds its whole size to the process."""
+    import mmap  # here: the package import stays lean
+
+    return np.ndarray((rows, cols), buffer=mmap.mmap(-1, 8 * rows * cols))
+
+
 def monte_carlo_cost(
     strategy: Strategy, config: SimConfig, keep_costs: bool = False
 ) -> CostEstimate:
     """Mean realized cost and its standard error over independent paths."""
     strategy.check_config(config)
     _check_budget(config)
-    n_paths = config.n_paths
+    n_paths, n_steps = config.n_paths, config.n_steps
     sqrt_dt = math.sqrt(config.dt)
     costs = np.empty(n_paths)
-    steps = np.empty((config.n_steps, min(_CHUNK, n_paths)))  # column r: path start + r
-    threaded = config.n_steps >= _THREAD_MIN_STEPS
+    shape = (min(_WINDOW, n_steps), min(_CHUNK, n_paths))  # column r: path start + r
+    if n_steps <= _WINDOW:
+        steps, rngs = np.empty(shape), None
+    else:
+        steps = _window_buffer(*shape)
+        # A stream that spans windows goes on in its column's own generator,
+        # keyed at each block's first window.  One SeedSequence for all:
+        # Philox(key=...) builds its own from system entropy first (9 against
+        # 6 us a generator).
+        seed_seq = np.random.SeedSequence(0)
+        rngs = [np.random.Generator(np.random.Philox(seed_seq)) for _ in range(shape[1])]
     from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
 
     # Leaving the with-block, on success or error, waits for the helper.
     with ThreadPoolExecutor(max_workers=1) as helper:
         for start in range(0, n_paths, _CHUNK):
-            block = steps[:, :n_paths - start]
-            tiles = iter(range(0, block.shape[1], _TILE))
-            args = (block, config.seed, start, sqrt_dt, tiles)
-            pending = helper.submit(_fill_noise, *args) if threaded else None
-            if start == 0:
-                table = strategy.gain_table(config)
-            _fill_noise(*args)
-            if pending is not None:
-                pending.result()
-            costs[start:start + _CHUNK] = _run_block(table, config, block.T)[0]
+            state = np.zeros((6, min(_CHUNK, n_paths - start)))
+            for k in range(0, n_steps, _WINDOW):
+                window = steps[:n_steps - k, :state.shape[1]]
+                tiles = iter(range(0, window.shape[1], _TILE))
+                args = (window, config.seed, start, sqrt_dt, tiles, rngs, k == 0)
+                threaded = len(window) >= _THREAD_MIN_STEPS
+                pending = helper.submit(_fill_noise, *args) if threaded else None
+                if start == k == 0:
+                    table = strategy.gain_table(config)
+                _fill_noise(*args)
+                if pending is not None:
+                    pending.result()
+                _run_block(table, config, window.T, state=state, k_first=k)
+            costs[start:start + _CHUNK] = state[2]
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else math.inf
     return CostEstimate(mean, se, config.n_paths, costs if keep_costs else None)

@@ -159,6 +159,14 @@ def test_rk4_grid_runs_exactly_from_T_to_t():
         perf_coeffs_rk4(0.0, GaussianPrior(1e160), ProblemSpec(horizon=2.0))
 
 
+@pytest.mark.parametrize("t, sigma, T", [(0.0, 1e150, 2.0), (1e-300, math.inf, 50.0)])
+def test_rk4_refuses_where_the_square_of_t_plus_p_underflows(t, sigma, T):
+    # (t + p)^2 = 1e-600 underflows to 0, and F0 / (tau + p)^2 gave F# = inf
+    # (the quadrature gives 372.76 and 742.95 here)
+    with pytest.raises(SingularityError, match="underflows"):
+        perf_coeffs_rk4(t, GaussianPrior(sigma), ProblemSpec(horizon=T))
+
+
 def test_disagreeing_half_node_rule_raises(monkeypatch):
     perturbed = performance._WEIGHTS.copy()
     perturbed[performance._N_NODES :] *= 1.0 + 1e-6  # the half-node rule's weights

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -201,12 +202,14 @@ def test_path_streams_independent_of_chunking():
     make_strategy("known_a", a=0.5), make_strategy("bayes_improper"),
 ])
 def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
-    # from _THREAD_MIN_STEPS steps on, both threads fill each block from one
-    # tile iterator; below, the calling thread fills it alone.  The costs
+    # from _THREAD_MIN_STEPS steps on, both threads fill each window from
+    # one tile iterator; below, the calling thread fills it alone.  The costs
     # must be those of a serial path-by-path run, whatever the block size and
-    # wherever the tile and block edges fall (7 and 100 are not multiples of
-    # _TILE; 2 * chunk + 1 paths end on a one-path block), on both paths
-    # (the improper prior needs an observation phase)
+    # window length, and wherever the tile, block and window edges fall (7
+    # and 100 are not multiples of _TILE; 2 * chunk + 1 paths end on a
+    # one-path block; 99 steps a window leave a one-step window), on both
+    # paths (the improper prior needs an observation phase, which ends at
+    # step 50: on a window edge at 50 steps a window, inside one at 7)
     t_start = 0.5 if strategy.name == "bayes_improper" else 0.0
     cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=0.5, n_paths=201, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
@@ -215,12 +218,16 @@ def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
                              for i in range(cfg.n_paths)])
     cases = [(chunk, 50) for chunk in (7, 50, 4096)]
     cases += [(chunk, n) for chunk in (7, 100) for n in (63, 64, 65, 2 * chunk + 1)]
-    for min_steps in (0, cfg.n_steps + 1):
+    for min_steps, window in itertools.product(
+        (0, cfg.n_steps + 1), (1, 7, 50, cfg.n_steps - 1, cfg.n_steps, 4096)
+    ):
         monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", min_steps)
-        for chunk, n_paths in cases:
+        monkeypatch.setattr(simulate, "_WINDOW", window)
+        # every block and tile edge in one window; in many, one-path last blocks
+        for chunk, n_paths in cases if window >= cfg.n_steps else [(7, 15), (100, 201)]:
             monkeypatch.setattr(simulate, "_CHUNK", chunk)
             costs = monte_carlo_cost(strategy, replace(cfg, n_paths=n_paths), keep_costs=True).costs
-            assert costs.tobytes() == serial[:n_paths].tobytes(), (min_steps, chunk, n_paths)
+            assert costs.tobytes() == serial[:n_paths].tobytes(), (min_steps, window, chunk, n_paths)
     for i in range(50):
         assert simulate_path(strategy, cfg, path_index=i)[1] == serial[i]
 
@@ -262,6 +269,24 @@ def test_tiles_drawn_from_a_shared_iterator_match_a_serial_fill():
         sys.setswitchinterval(interval)
 
 
+def test_a_path_drawn_window_by_window_matches_path_noise():
+    # generators kept per column go on where their last window stopped, so
+    # the windows of each path join into its path_noise, byte for byte, for
+    # any window lengths and tile splits; keyed afresh for a second, narrower
+    # block, the same generators draw that block's paths from their start
+    seed, n_steps = 9, 50
+    rngs = [np.random.Generator(np.random.Philox(key=np.zeros(2, dtype=np.uint64)))
+            for _ in range(150)]
+    for first, n_paths in ((1000, 150), (1150, 70)):
+        serial = np.stack([path_noise(seed, first + r, n_steps) for r in range(n_paths)], axis=1)
+        windowed = np.full_like(serial, np.nan)
+        for k, stop in ((0, 7), (7, 8), (8, 49), (49, 50)):
+            todo = iter(range(0, n_paths, simulate._TILE))
+            for tiles in (itertools.islice(todo, 1), todo):
+                simulate._fill_noise(windowed[k:stop], seed, first, 1.0, tiles, rngs, k == 0)
+        assert windowed.tobytes() == serial.tobytes(), first
+
+
 def test_fill_error_on_the_helper_propagates_and_leaves_no_thread(monkeypatch):
     # the helper takes one tile, then fails on its second; the calling
     # thread draws the rest and must raise the helper's error, not hang
@@ -269,10 +294,10 @@ def test_fill_error_on_the_helper_propagates_and_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", 100)
     fill, errors = simulate._fill_noise, []
 
-    def helper_fails_on_second_tile(out, seed, first, scale=1.0, tiles=None):
+    def helper_fails_on_second_tile(out, seed, first, scale, tiles, *rest):
         if threading.current_thread() is caller:
-            return fill(out, seed, first, scale, tiles)
-        fill(out, seed, first, scale, itertools.islice(tiles, 1))
+            return fill(out, seed, first, scale, tiles, *rest)
+        fill(out, seed, first, scale, itertools.islice(tiles, 1), *rest)
         raise RuntimeError("helper's second tile")
 
     def run():
@@ -291,26 +316,71 @@ def test_fill_error_on_the_helper_propagates_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_one_block_in_memory_and_freed_after_the_call():
+def _memory_over(monkeypatch, call):
+    """Run call() twice under tracemalloc with the collector off, the first
+    time for lazy imports, first-call caches and free lists; return (peak,
+    left) of the second: the traced peak over it plus the bytes of every
+    mapped window buffer it made, which tracemalloc does not see, and the
+    traced memory left after it.  Every mapped buffer must be freed when
+    call() returns: a reference cycle that kept one alive would outlive the
+    call with the collector off (a buffer from np.empty shows in left)."""
+    buffers, window_buffer = [], simulate._window_buffer
+
+    def recorded(rows, cols):
+        out = window_buffer(rows, cols)
+        buffers.append((out.nbytes, weakref.ref(out)))
+        return out
+
+    monkeypatch.setattr(simulate, "_window_buffer", recorded)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        call()
+        buffers.clear()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        after, peak = tracemalloc.get_traced_memory()
+        freed = [ref() is None for _, ref in buffers]  # before the collector runs again
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert all(freed)
+    return peak - before + sum(nbytes for nbytes, _ in buffers), after - before
+
+
+def test_one_block_in_memory_and_freed_after_the_call(monkeypatch):
     # the threaded path at the default block size, ending on a one-path
-    # block; with the collector off, a reference cycle that kept the block
-    # alive would show in the memory left after the call
+    # block; a reference cycle that kept the block alive would show in the
+    # memory left after the call
     cfg = small_config(spec=ProblemSpec(horizon=0.6), dt=1e-3, n_paths=2 * simulate._CHUNK + 1)
     assert cfg.n_steps >= simulate._THREAD_MIN_STEPS
     block_bytes = simulate._CHUNK * cfg.n_steps * 8
     strategy = make_strategy("bayes", sigma=1.5)
-    monte_carlo_cost(strategy, cfg)  # lazy imports and first-call caches
-    gc.disable()
+    peak, left = _memory_over(monkeypatch, lambda: monte_carlo_cost(strategy, cfg))
+    assert peak < 1.25 * block_bytes
+    assert abs(left) < 0.01 * block_bytes
+
+
+def test_noise_memory_set_by_the_window_not_the_horizon(monkeypatch):
+    # 10 000 steps in windows of _WINDOW steps: the peak stays within the
+    # window's buffer, the two threads' tile scratches and the gain table,
+    # with a quarter to spare; a buffer of the whole horizon would be ten
+    # windows
+    cfg = small_config(spec=ProblemSpec(horizon=10.0), dt=1e-3, n_paths=300)
+    assert cfg.n_steps >= 10 * simulate._WINDOW
+    strategy = make_strategy("bayes", sigma=1.5)
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        monte_carlo_cost(strategy, cfg)
-        after, peak = tracemalloc.get_traced_memory()
+        table = strategy.gain_table(cfg)
+        table_bytes = tracemalloc.get_traced_memory()[0]
+        del table
     finally:
         tracemalloc.stop()
-        gc.enable()
-    assert peak - before < 1.25 * block_bytes
-    assert abs(after - before) < 0.01 * block_bytes
+    peak, left = _memory_over(monkeypatch, lambda: monte_carlo_cost(strategy, cfg))
+    window_bytes = 8 * simulate._WINDOW * (min(simulate._CHUNK, cfg.n_paths) + 2 * simulate._TILE)
+    assert peak < 1.25 * (window_bytes + table_bytes)
+    assert abs(left) < 0.01 * window_bytes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -330,17 +400,67 @@ def test_error_in_a_later_block_leaves_no_helper_thread(monkeypatch):
     monkeypatch.setattr(simulate, "_CHUNK", 7)
     run_block, blocks = simulate._run_block, []
 
-    def failing_second(table, config, noise, record=False):
+    def failing_second(table, config, noise, *args, **kwargs):
         blocks.append(len(noise))
         if len(blocks) == 2:
             raise NonFiniteError("second block")
-        return run_block(table, config, noise, record)
+        return run_block(table, config, noise, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "_run_block", failing_second)
     before = threading.active_count()
     with pytest.raises(NonFiniteError, match="second block"):
         monte_carlo_cost(make_strategy("bayes", sigma=1.5), small_config(n_paths=50))
     assert blocks == [7, 7]
+    assert threading.active_count() == before
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_error_in_a_later_window_leaves_no_helper_thread(monkeypatch):
+    # q = a t overflows q^2 near step 45 (q = 1.35e154), past the first
+    # 30-step window's check; the error must come from the second window
+    monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", 0)
+    monkeypatch.setattr(simulate, "_WINDOW", 30)
+    run_block, windows = simulate._run_block, []
+
+    def counted(table, config, noise, *args, **kwargs):
+        windows.append(kwargs["k_first"])
+        return run_block(table, config, noise, *args, **kwargs)
+
+    monkeypatch.setattr(simulate, "_run_block", counted)
+    before = threading.active_count()
+    with pytest.raises(NonFiniteError):
+        monte_carlo_cost(make_strategy("zero_control"), small_config(a_true=3e154, n_paths=50))
+    assert windows == [0, 30]
+    assert threading.active_count() == before
+
+
+def test_fill_error_in_a_later_window_propagates_and_leaves_no_thread(monkeypatch):
+    # the helper takes one tile of the second window, then fails on its
+    # next; the calling thread draws the rest and must raise the helper's
+    # error, not hang
+    monkeypatch.setattr(simulate, "_THREAD_MIN_STEPS", 0)
+    monkeypatch.setattr(simulate, "_WINDOW", 30)
+    fill, errors = simulate._fill_noise, []
+
+    def helper_fails_in_second_window(out, seed, first, scale, tiles, rngs, restart):
+        if threading.current_thread() is caller or restart:
+            return fill(out, seed, first, scale, tiles, rngs, restart)
+        fill(out, seed, first, scale, itertools.islice(tiles, 1), rngs, restart)
+        raise RuntimeError("helper's second window")
+
+    def run():
+        try:
+            monte_carlo_cost(make_strategy("bayes", sigma=1.5), small_config(n_paths=250))
+        except RuntimeError as exc:
+            errors.append(exc)
+
+    monkeypatch.setattr(simulate, "_fill_noise", helper_fails_in_second_window)
+    before = threading.active_count()
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [str(exc) for exc in errors] == ["helper's second window"]
     assert threading.active_count() == before
 
 
