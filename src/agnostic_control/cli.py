@@ -41,7 +41,7 @@ from .bayes import GaussianPrior
 from .errors import BudgetError, DomainError, NoRootError, NonFiniteError, QuadratureError
 from .model import ProblemSpec, gains
 from .performance import A_GRID_DEFAULT, regret_form
-from .simulate import SimConfig, analytic_cost, make_strategy, monte_carlo_cost, simulate_path
+from .simulate import SimConfig, analytic_cost, make_strategy, monte_carlo_cost, run_paths
 from .solvers import T_GRID_DEFAULT, solve_fueltax, solve_sigma_mr, sweep, worst_case_mr
 
 EXIT_OK = 0
@@ -75,9 +75,9 @@ def _to_json(obj, indent: int = 0) -> str:
     return json.dumps(str(obj) if isinstance(obj, float) else obj)
 
 
-def _csv(header, rows) -> str:
-    """CSV text, a header line then one line a row, every cell through _fmt."""
-    return "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+def _csv(rows) -> str:
+    """CSV lines, one a row, every cell through _fmt."""
+    return "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 @contextlib.contextmanager
@@ -89,9 +89,11 @@ def _writing(path: str):
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _write(path: str):
+    """Open path and yield the function that writes its text, piece by piece."""
     with _writing(path), open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        yield fh.write
 
 
 def _write_manifest(stem: str, subcommand: str, params: dict) -> None:
@@ -102,7 +104,8 @@ def _write_manifest(stem: str, subcommand: str, params: dict) -> None:
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _write(stem + ".manifest.json", _to_json(manifest) + "\n")
+    with _write(stem + ".manifest.json") as write:
+        write(_to_json(manifest) + "\n")
 
 
 def _parse_floats(text: str, flag: str) -> list[float]:
@@ -184,7 +187,8 @@ def _cmd_figures(args) -> int:
 
     stem = os.path.join(args.out, f"fig{args.which}")
     rows = [[rec["T"], *(rec.get(c, "") for c in columns[1:])] for rec in records]
-    _write(stem + ".csv", _csv(columns, rows))
+    with _write(stem + ".csv") as write:
+        write(_csv([columns, *rows]))
     _write_manifest(stem, "figures", {"which": args.which, "grid": grid})
     failures = len(records) - len(solved)
     if failures > 0.1 * len(grid):
@@ -227,10 +231,13 @@ def _cmd_simulate(args) -> int:
     if args.out:
         with _writing(args.out):
             os.makedirs(args.out, exist_ok=True)
-        _write(os.path.join(args.out, "result.json"), text + "\n")
+        with _write(os.path.join(args.out, "result.json")) as write:
+            write(text + "\n")
         for i in range(args.dump_paths):
-            rows = simulate_path(strategy, config, path_index=i)[0].tolist()
-            _write(os.path.join(args.out, f"path_{i:05d}.csv"), _csv(("t", "q", "xi", "u"), rows))
+            # each window's rows as they come: one window in memory at any T
+            with _write(os.path.join(args.out, f"path_{i:05d}.csv")) as write:
+                write("t,q,xi,u\n")
+                run_paths(strategy, config, i, 1, sink=lambda rows: write(_csv(rows)))
         _write_manifest(os.path.join(args.out, "result"), "simulate", {
             "strategy": strategy.describe(),
             "a": args.a, "T": args.T, "T0": args.T0, "dt": args.dt,
@@ -292,7 +299,8 @@ def _cmd_regret(args) -> int:
     text = _to_json(result)
     print(text)
     if args.out:
-        _write(args.out, text + "\n")
+        with _write(args.out) as write:
+            write(text + "\n")
         _write_manifest(args.out, "regret", {"mode": args.mode, "T": args.T, "T0": args.T0,
                                              "sigma": args.sigma, "a_grid": a_grid})
     return EXIT_OK

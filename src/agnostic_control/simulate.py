@@ -19,36 +19,36 @@ u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt, dq = (a + u) dt +
 sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
 bit-identical to calling model.control_known_a at each step.
 
-monte_carlo_cost works through the paths in blocks of _CHUNK, and through
-each block's steps in windows of _WINDOW, in one step-major buffer of
-_WINDOW x min(_CHUNK, n_paths): column r holds the noise of path start + r,
-so that each step reads its noise as one contiguous row.  Each window is
-first filled, then stepped; no noise is drawn while a window steps, and the
-block's state (q, xi, cost, u) carries from one window into the next.  So the
-noise takes 8 B x _WINDOW x min(_CHUNK, n_paths) at any horizon, 16.4 MB at
-most; the gain table, about 130 B a step, still grows with the horizon.  A
-run of more than _WINDOW steps also keeps one generator per column for the
-call (about 0.6 kB each), built up front on the calling thread and keyed
-afresh at each block's first window, so that each path's stream goes on in
-the next window where it stopped, and puts its buffer on a mapping of its
-own that goes back to the system when the call returns (_window_buffer).  A
-shorter run does neither: it draws each block's noise from each path's key
-into a buffer from np.empty, as a single window.  From _THREAD_MIN_STEPS
-steps in a window on, a helper thread fills it beside the calling thread
-(which, for the first window, first builds the gain table).  Both take tiles
-of _TILE paths from one shared iterator until it runs dry: numpy's normal
-sampler and the scaling multiply release the GIL, and next() on a range
-iterator is atomic under it, as on every supported CPython (3.10 to 3.12,
-none free-threaded), so each tile is drawn exactly once, and the thread with
-time to spare draws more.  Each thread draws a tile's paths as rows of its
-own scratch and scales the whole tile by sqrt(dt) into its columns in one
-multiply.  Shorter windows are filled on the calling thread alone: with short
-rows the two threads spent longer passing the GIL between them than the
-second one saved.  Filling never overlaps stepping: the fill and the stepping
-loop's small ufunc calls pass the GIL back and forth and slow each other
-about two-fold, and an overlap would keep a second window in memory.  So one
-window is in memory, every column holds its own path's noise, whichever
-thread drew it, and the steps run in the order of a serial run.
+One engine, run_paths, steps every path: monte_carlo_cost's paths 0, ...,
+n_paths - 1, and simulate_path's one path keyed (seed, path_index), whose
+cost is the one monte_carlo_cost gets for it.  It works through the paths in
+blocks of _CHUNK, and through each block's steps in windows of _WINDOW, in
+one step-major buffer of min(_WINDOW, n_steps) x min(_CHUNK, n_paths) on a
+mapping of its own (_window_buffer): column r holds the noise of path
+start + r, so that each step reads its noise as one contiguous row.  Each
+window is first filled, then stepped, and the block's state (q, xi, u, cost)
+carries into the next.  So the noise takes 8 B x _WINDOW x min(_CHUNK,
+n_paths), 16.4 MB at most, at any horizon; the gain table, about 130 B a
+step, still grows with it.  A run with a sink copies each step's (t, q, xi, u)
+of its block's first path, where _run_block yields, into the window's rows
+and hands them to the sink: acl simulate --dump-paths writes them as they
+come, one window in memory at any horizon, and simulate_path joins them.
+
+A run of more than _WINDOW steps keeps one generator per column for the call
+(about 0.6 kB each), built up front on the calling thread and keyed afresh at
+each block's first window, so that each path's stream goes on where the last
+window stopped; a shorter run draws each block's noise from each path's key.
+From _THREAD_MIN_STEPS steps in a window on (below, the two threads spent
+longer passing the GIL between them than the second one saved), a helper
+thread fills the window beside the calling thread, which for the first
+window first builds the gain table.  Both take tiles of _TILE paths from one
+shared iterator until it runs dry: numpy's normal sampler and the scaling
+multiply release the GIL, and next() on a range iterator is atomic under it
+on every supported CPython (3.10 to 3.12, none free-threaded), so each tile
+is drawn exactly once, into its own columns, by whichever thread has time to
+spare.  Filling never overlaps stepping: the fill and the stepping loop's
+small ufunc calls pass the GIL back and forth and slow each other about
+two-fold, and an overlap would keep a second window in memory.
 """
 
 from __future__ import annotations
@@ -263,31 +263,19 @@ def _control(row: tuple, q: np.ndarray, xi: np.ndarray, u: np.ndarray, scratch: 
         u -= scratch
 
 
-def _run_block(
-    table: list[tuple] | None,
-    config: SimConfig,
-    noise: np.ndarray,
-    record: bool = False,
-    state: np.ndarray | None = None,
-    k_first: int = 0,
-):
+def _run_block(table: list[tuple] | None, config: SimConfig, noise: np.ndarray,
+               state: np.ndarray, k_first: int):
     """Advance a block of paths over steps k_first, ..., k_first +
-    noise.shape[1] - 1; returns (costs, trajectory or None, q, xi).
-
-    table is the strategy's gain_table(config).  noise has shape
-    (n_paths_in_block, steps) and holds the increments sqrt(dt) * N(0, 1).
-    The trajectory, recorded only for single-path runs, has rows (t, q, xi, u)
-    at each step start.  The paths step in place on six vectors, the rows of
-    state (q, xi, cost, u and two scratch rows; zeros at step 0 when None), so
-    a later call on the same state goes on from the last step of this one.
-    u stays 0 until the first controlled step k_start, and for zero_control
-    throughout.
-    """
-    dt, a = config.dt, config.a_true
-    k0 = config.k_start
-    q, xi, cost, u, dq, tmp = np.zeros((6, noise.shape[0])) if state is None else state
-    rows = [] if record else None
-
+    noise.shape[1] - 1: a generator that yields each step's k once u holds
+    the step's control and the cost its term, before q and xi move on, and
+    at its end checks that q and the cost are finite.  table is the strategy's gain_table(config);
+    noise (paths x steps) holds the increments sqrt(dt) * N(0, 1).  The
+    paths step in place on the six rows of state, q, xi, u, cost and two
+    scratch rows (zeros at step 0), so that a later call on the same state
+    goes on where this one stopped.  u stays 0 until the first controlled
+    step k_start, and for zero_control throughout."""
+    dt, a, k0 = config.dt, config.a_true, config.k_start
+    q, xi, u, cost, dq, tmp = state
     for k, increment in zip(range(k_first, k_first + noise.shape[1]), noise.T):
         if k >= k0:
             if table is not None:
@@ -297,8 +285,7 @@ def _run_block(
             tmp += dq
             tmp *= dt
             cost += tmp
-        if record:
-            rows.append((k * dt, float(q[0]), float(xi[0]), float(u[0])))
+        yield k
         np.add(u, a, out=dq)
         dq *= dt
         dq += increment
@@ -309,8 +296,6 @@ def _run_block(
 
     if not (np.all(np.isfinite(q)) and np.all(np.isfinite(cost))):
         raise NonFiniteError("simulation produced non-finite state")
-    traj = np.array(rows) if record else None
-    return cost, traj, q, xi
 
 
 def simulate_path(
@@ -321,31 +306,18 @@ def simulate_path(
 ) -> tuple[np.ndarray, float]:
     """One path; returns (trajectory with columns t,q,xi,u, realized cost).
 
-    A caller-supplied noise array (n_steps standard normals, e.g. all zeros)
-    replaces the path's random stream.
+    run_paths on the one path keyed (seed, path_index), with the rows of its
+    windows joined.  A caller-supplied noise array (n_steps standard normals,
+    e.g. all zeros) replaces the path's random stream.
     """
-    _check_philox_word("path_index", path_index)  # the second word of its Philox key
-    strategy.check_config(config)
-    _check_budget(config, n_paths=1)
-    if noise is None:
-        noise = path_noise(config.seed, path_index, config.n_steps)
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != (config.n_steps,):
-        raise DomainError(
-            f"noise must have shape ({config.n_steps},), got {noise.shape}"
-        )
-    scaled = math.sqrt(config.dt) * noise[None, :]
-    cost, traj, _, _ = _run_block(strategy.gain_table(config), config, scaled, record=True)
-    return traj, float(cost[0])
-
-
-def _check_budget(config: SimConfig, n_paths: int | None = None) -> None:
-    n = config.n_paths if n_paths is None else n_paths
-    total = n * config.n_steps
-    if total > MAX_TOTAL_STEPS:
-        raise BudgetError(
-            f"{n} paths x {config.n_steps} steps = {total} exceeds budget {MAX_TOTAL_STEPS}"
-        )
+    if noise is not None:
+        noise = np.asarray(noise, dtype=float)
+        if noise.shape != (config.n_steps,):
+            raise DomainError(f"noise must have shape ({config.n_steps},), got {noise.shape}")
+        noise = noise[:, None]
+    windows = []
+    cost = run_paths(strategy, config, path_index, 1, noise, windows.append)[0]
+    return np.concatenate(windows), float(cost)
 
 
 def _window_buffer(rows: int, cols: int) -> np.ndarray:
@@ -360,26 +332,26 @@ def _window_buffer(rows: int, cols: int) -> np.ndarray:
     return np.ndarray((rows, cols), buffer=mmap.mmap(-1, 8 * rows * cols))
 
 
-def monte_carlo_cost(
-    strategy: Strategy, config: SimConfig, keep_costs: bool = False
-) -> CostEstimate:
-    """Mean realized cost and its standard error over independent paths."""
+def run_paths(strategy: Strategy, config: SimConfig, first: int, n_paths: int,
+              noise: np.ndarray | None = None, sink=None) -> np.ndarray:
+    """The realized costs of paths first, ..., first + n_paths - 1.  noise,
+    standard normals of shape (n_steps, n_paths), fills the windows in place
+    of the paths' streams; sink, if given, gets each window's rows
+    (t, q, xi, u) of the first path of each block, in an array of its own."""
+    _check_philox_word("path_index", first)  # the second word of its Philox key
     strategy.check_config(config)
-    _check_budget(config)
-    n_paths, n_steps = config.n_paths, config.n_steps
-    sqrt_dt = math.sqrt(config.dt)
+    n_steps, dt, sqrt_dt = config.n_steps, config.dt, math.sqrt(config.dt)
+    if n_paths * n_steps > MAX_TOTAL_STEPS:
+        raise BudgetError(f"{n_paths} paths x {n_steps} steps = {n_paths * n_steps} "
+                          f"exceeds budget {MAX_TOTAL_STEPS}")
     costs = np.empty(n_paths)
-    shape = (min(_WINDOW, n_steps), min(_CHUNK, n_paths))  # column r: path start + r
-    if n_steps <= _WINDOW:
-        steps, rngs = np.empty(shape), None
-    else:
-        steps = _window_buffer(*shape)
-        # A stream that spans windows goes on in its column's own generator,
-        # keyed at each block's first window.  One SeedSequence for all:
-        # Philox(key=...) builds its own from system entropy first (9 against
-        # 6 us a generator).
+    steps = _window_buffer(min(_WINDOW, n_steps), min(_CHUNK, n_paths))  # column r: path start + r
+    rngs = None
+    if noise is None and n_steps > _WINDOW:
+        # a generator per column, keyed at each block's first window; one SeedSequence
+        # for all, as Philox(key=...) builds its own from system entropy (9 vs 6 us)
         seed_seq = np.random.SeedSequence(0)
-        rngs = [np.random.Generator(np.random.Philox(seed_seq)) for _ in range(shape[1])]
+        rngs = [np.random.Generator(np.random.Philox(seed_seq)) for _ in range(steps.shape[1])]
     from concurrent.futures import ThreadPoolExecutor  # here: the package import stays lean
 
     # Leaving the with-block, on success or error, waits for the helper.
@@ -389,16 +361,36 @@ def monte_carlo_cost(
             for k in range(0, n_steps, _WINDOW):
                 window = steps[:n_steps - k, :state.shape[1]]
                 tiles = iter(range(0, window.shape[1], _TILE))
-                args = (window, config.seed, start, sqrt_dt, tiles, rngs, k == 0)
-                threaded = len(window) >= _THREAD_MIN_STEPS
+                args = (window, config.seed, first + start, sqrt_dt, tiles, rngs, k == 0)
+                threaded = noise is None and len(window) >= _THREAD_MIN_STEPS
                 pending = helper.submit(_fill_noise, *args) if threaded else None
                 if start == k == 0:
                     table = strategy.gain_table(config)
-                _fill_noise(*args)
+                if noise is None:
+                    _fill_noise(*args)
+                else:
+                    block = noise[k:k + len(window), start:start + window.shape[1]]
+                    np.multiply(block, sqrt_dt, out=window)
                 if pending is not None:
                     pending.result()
-                _run_block(table, config, window.T, state=state, k_first=k)
-            costs[start:start + _CHUNK] = state[2]
+                stepping = _run_block(table, config, window.T, state, k)
+                if sink is None:
+                    for _ in stepping:
+                        pass
+                else:
+                    rows = np.empty((len(window), 4))
+                    for j, step in enumerate(stepping):
+                        rows[j] = step * dt, *state[:3, 0]
+                    sink(rows)
+            costs[start:start + _CHUNK] = state[3]
+    return costs
+
+
+def monte_carlo_cost(
+    strategy: Strategy, config: SimConfig, keep_costs: bool = False
+) -> CostEstimate:
+    """Mean realized cost and its standard error over independent paths."""
+    costs = run_paths(strategy, config, 0, config.n_paths)
     mean = float(np.mean(costs))
     se = float(np.std(costs, ddof=1) / math.sqrt(config.n_paths)) if config.n_paths > 1 else math.inf
     return CostEstimate(mean, se, config.n_paths, costs if keep_costs else None)

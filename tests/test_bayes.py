@@ -133,8 +133,10 @@ def test_xi_diffuses_like_drifted_brownian_motion():
     for start in range(0, cfg.n_paths, 2000):
         stop = min(start + 2000, cfg.n_paths)
         noise = np.stack([path_noise(cfg.seed, i, n_steps) for i in range(start, stop)])
-        _, _, _, xi = _run_block(strategy.gain_table(cfg), cfg, math.sqrt(cfg.dt) * noise)
-        xis[start:stop] = xi
+        state = np.zeros((6, len(noise)))
+        for _ in _run_block(strategy.gain_table(cfg), cfg, math.sqrt(cfg.dt) * noise, state, 0):
+            pass
+        xis[start:stop] = state[1]
     se = xis.std(ddof=1) / math.sqrt(cfg.n_paths)
     assert abs(xis.mean() - a * spec.horizon) <= 4 * se
     assert abs(xis.var(ddof=1) - spec.horizon) <= 0.1 * spec.horizon

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from agnostic_control import (
     make_strategy,
     simulate_path,
 )
-from agnostic_control import performance, solvers
+from agnostic_control import performance, simulate, solvers
 from agnostic_control.cli import main
 
 
@@ -237,6 +238,34 @@ def test_dump_trajectory(tmp_path, capsys):
     assert len(lines) == cfg.n_steps + 1
     first = [float(x) for x in lines[1].split(",")]
     assert first == pytest.approx(list(traj[0]))
+
+
+def test_dump_memory_set_by_the_window_not_the_horizon(tmp_path, capsys, monkeypatch):
+    # 400 steps in 20 windows of 20: the dump holds one window's rows and
+    # their CSV text at a time, about 250 B a step of the window, so the
+    # traced peak of a second, warm call stays within the gain table and
+    # 1.5 kB a step of one window, the rest of the call included; the whole
+    # path held as rows took 400 B a step of the horizon, 160 kB here
+    monkeypatch.setattr(simulate, "_WINDOW", 20)
+    argv = ["simulate", "--strategy", "bayes", "--sigma", "1.5", "--a", "1", "--T", "0.4",
+            "--dt", "0.001", "--paths", "1", "--out", str(tmp_path), "--dump-paths", "1"]
+    cfg = SimConfig(spec=ProblemSpec(horizon=0.4), a_true=1.0, dt=0.001, n_paths=1)
+    assert cfg.n_steps >= 20 * simulate._WINDOW
+    tracemalloc.start()
+    try:
+        table = make_strategy("bayes", sigma=1.5).gain_table(cfg)
+        table_bytes = tracemalloc.get_traced_memory()[0]
+        del table
+        assert main(argv) == 0  # lazy imports and first-call caches
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert len((tmp_path / "path_00000.csv").read_text().splitlines()) == cfg.n_steps + 1
+    assert peak < table_bytes + 1500 * simulate._WINDOW
 
 
 #: (argv, the path the error names); OUT is a directory, FILE a file in it

@@ -46,6 +46,9 @@ CASES = {
     "simulate-dump": ["simulate", "--strategy", "bayes", "--sigma", "1.5", "--a", "1", "--T", "2",
                       "--dt", "0.01", "--paths", "200", "--seed", "0", "--out", "sim",
                       "--dump-paths", "2"],
+    "simulate-dump-windows": ["simulate", "--strategy", "bayes", "--sigma", "1.5", "--a", "1",
+                              "--T", "1.2", "--dt", "0.001", "--paths", "3", "--seed", "0",
+                              "--out", "sim", "--dump-paths", "1"],
     "regret-multiplicative": ["regret", "--mode", "multiplicative", "--T", "2"],
     "regret-additive": ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5",
                         "--sigma", "improper"],

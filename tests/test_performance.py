@@ -269,6 +269,30 @@ def test_additive_regret_improper_is_constant():
     assert form(0.0) == form(7.0)
 
 
+@pytest.mark.parametrize("T", [2.0, 20.0])
+@pytest.mark.parametrize("T0", [1e-6, 1e-8])
+def test_additive_regret_grows_by_one_minus_sech_squared_per_e_fold_of_1_over_t0(T, T0):
+    """The improper prior's additive regret grows like (1 - sech T)^2
+    log(1/T0) as T0 -> 0.
+
+    With p = 0 and h(tau) = (e1/2)^2 = (1 - sech(T - tau))^2, the regret at
+    t = T0 is F0/T0 + (F# - e#), where F0/T0 = T0 int h/tau^2 dtau and F# -
+    e# = int (tau - T0) h/tau^2 dtau, both over [T0, T]: so AR(T0) =
+    int_T0^T h(tau)/tau dtau, and its increment over the decade [T0/10, T0],
+    divided by log 10, is the mean of h over that decade in d log tau.  h
+    falls from h(0) = (1 - sech T)^2 with a slope at most 1/2 in size
+    (2 (1 - sech s) sech s tanh s), and the mean of tau over the decade in
+    d log tau is 0.9 T0/log 10 < T0/2, so the increment is within T0/4 of
+    (1 - sech T)^2.  Measured: 0.147 T0 at T = 2, rounding (1e-15) at T = 20.
+    """
+    def regret(t0):
+        spec = ProblemSpec(horizon=T, t_start=t0)
+        return regret_form(GaussianPrior.improper(), spec, additive=True)(0.0)
+
+    slope = (regret(T0 / 10.0) - regret(T0)) / math.log(10.0)
+    assert abs(slope - (1.0 - 1.0 / math.cosh(T)) ** 2) <= T0 / 4.0
+
+
 def test_additive_regret_finite_sigma_formula():
     spec = ProblemSpec(horizon=2.0, t_start=0.5)
     prior = GaussianPrior(1.3)

@@ -40,6 +40,15 @@ def small_config(**kw):
     return SimConfig(**defaults)
 
 
+def _stepped(table, cfg, noise):
+    """The state (q, xi, u, cost and two scratch rows) of paths stepped from
+    zero over the increments noise (paths x steps) in one run of _run_block."""
+    state = np.zeros((6, noise.shape[0]))
+    for _ in simulate._run_block(table, cfg, noise, state, 0):
+        pass
+    return state
+
+
 def test_config_validation():
     spec = ProblemSpec(horizon=1.0)
     with pytest.raises(DomainError):
@@ -97,15 +106,12 @@ def test_zero_control_drift_statistics():
     # q(T) under zero control is Brownian motion with drift: mean aT, var T
     a, T = 1.0, 1.0
     cfg = small_config(a_true=a, n_paths=10_000)
-    from agnostic_control.simulate import _run_block
-
     qs = np.empty(cfg.n_paths)
     for start in range(0, cfg.n_paths, 2000):
         stop = min(start + 2000, cfg.n_paths)
         noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(start, stop)])
-        _, _, q, _ = _run_block(make_strategy("zero_control").gain_table(cfg), cfg,
-                                math.sqrt(cfg.dt) * noise)
-        qs[start:stop] = q
+        qs[start:stop] = _stepped(make_strategy("zero_control").gain_table(cfg), cfg,
+                                  math.sqrt(cfg.dt) * noise)[0]
     se = qs.std(ddof=1) / math.sqrt(cfg.n_paths)
     assert abs(qs.mean() - a * T) <= 4 * se
     assert abs(qs.var(ddof=1) - T) <= 0.1 * T
@@ -214,7 +220,7 @@ def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
     cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=0.5, n_paths=201, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
     table, scaled = strategy.gain_table(cfg), math.sqrt(cfg.dt) * noise
-    serial = np.concatenate([simulate._run_block(table, cfg, scaled[i:i + 1])[0]
+    serial = np.concatenate([_stepped(table, cfg, scaled[i:i + 1])[3]
                              for i in range(cfg.n_paths)])
     cases = [(chunk, 50) for chunk in (7, 50, 4096)]
     cases += [(chunk, n) for chunk in (7, 100) for n in (63, 64, 65, 2 * chunk + 1)]
@@ -323,7 +329,11 @@ def _memory_over(monkeypatch, call):
     mapped window buffer it made, which tracemalloc does not see, and the
     traced memory left after it.  Every mapped buffer must be freed when
     call() returns: a reference cycle that kept one alive would outlive the
-    call with the collector off (a buffer from np.empty shows in left)."""
+    call with the collector off.  A full collection first empties CPython's
+    free lists, which keep up to 2 000 freed tuples of a size: a gain table
+    of fewer than 4 000 rows would reuse those freed before tracing began,
+    which tracemalloc does not see, leave traced ones of its own there after
+    the first call, and show up to 64 B a tuple in left."""
     buffers, window_buffer = [], simulate._window_buffer
 
     def recorded(rows, cols):
@@ -332,6 +342,7 @@ def _memory_over(monkeypatch, call):
         return out
 
     monkeypatch.setattr(simulate, "_window_buffer", recorded)
+    gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
@@ -363,12 +374,12 @@ def test_one_block_in_memory_and_freed_after_the_call(monkeypatch):
 
 
 def test_noise_memory_set_by_the_window_not_the_horizon(monkeypatch):
-    # 10 000 steps in windows of _WINDOW steps: the peak stays within the
+    # 3 000 steps in windows of _WINDOW steps: the peak stays within the
     # window's buffer, the two threads' tile scratches and the gain table,
-    # with a quarter to spare; a buffer of the whole horizon would be ten
+    # with a quarter to spare; a buffer of the whole horizon would be three
     # windows
-    cfg = small_config(spec=ProblemSpec(horizon=10.0), dt=1e-3, n_paths=300)
-    assert cfg.n_steps >= 10 * simulate._WINDOW
+    cfg = small_config(spec=ProblemSpec(horizon=3.0), dt=1e-3, n_paths=300)
+    assert cfg.n_steps >= 3 * simulate._WINDOW
     strategy = make_strategy("bayes", sigma=1.5)
     tracemalloc.start()
     try:
@@ -422,9 +433,9 @@ def test_error_in_a_later_window_leaves_no_helper_thread(monkeypatch):
     monkeypatch.setattr(simulate, "_WINDOW", 30)
     run_block, windows = simulate._run_block, []
 
-    def counted(table, config, noise, *args, **kwargs):
-        windows.append(kwargs["k_first"])
-        return run_block(table, config, noise, *args, **kwargs)
+    def counted(table, config, noise, state, k_first):
+        windows.append(k_first)
+        return run_block(table, config, noise, state, k_first)
 
     monkeypatch.setattr(simulate, "_run_block", counted)
     before = threading.active_count()
@@ -556,14 +567,20 @@ def test_gain_table_steps_bit_identical_to_per_step_law(monkeypatch, variant, T,
                     n_paths=30, seed=3)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
     costs, traj, q, xi = _per_step_reference(strategy, cfg, noise)
+    got = _stepped(strategy.gain_table(cfg), cfg, math.sqrt(dt) * noise)
+    assert got[0].tobytes() == q.tobytes()
+    assert got[1].tobytes() == xi.tobytes()
     monkeypatch.setattr(simulate, "_CHUNK", 7)
-    assert monte_carlo_cost(strategy, cfg, keep_costs=True).costs.tobytes() == costs.tobytes()
-    got = simulate._run_block(strategy.gain_table(cfg), cfg, math.sqrt(dt) * noise)
-    assert got[2].tobytes() == q.tobytes()
-    assert got[3].tobytes() == xi.tobytes()
-    got_traj, cost = simulate_path(strategy, cfg)
-    assert got_traj.tobytes() == traj.tobytes()
-    assert cost == costs[0]
+    # in one window, then in 7-step windows that the trajectory spans
+    for window in (simulate._WINDOW, 7):
+        monkeypatch.setattr(simulate, "_WINDOW", window)
+        mc_costs = monte_carlo_cost(strategy, cfg, keep_costs=True).costs
+        assert mc_costs.tobytes() == costs.tobytes(), window
+        got_traj, cost = simulate_path(strategy, cfg)
+        assert got_traj.tobytes() == traj.tobytes(), window
+        assert cost == costs[0]
+        for i in (7, cfg.n_paths - 1):  # the first path of the second block, and the last
+            assert simulate_path(strategy, cfg, path_index=i)[1] == mc_costs[i], (window, i)
 
 
 @pytest.mark.parametrize("variant, T, t_start, dt", _STRATEGY_CASES)

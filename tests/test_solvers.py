@@ -349,6 +349,59 @@ def test_fueltax_solve_reaches_its_closed_form_small_horizon_limit():
         assert abs(sig_r.root * math.sqrt(T) - sigma_0) <= 0.1 * T * T + 1e-13, T
 
 
+@pytest.mark.parametrize("T", [1e6, 1e8, 1e10])
+def test_sigma_mr_solve_reaches_its_lambert_w_large_horizon_limit(T):
+    """p* = sigma*^-2 -> W(T/e) and MR* - 1 -> W(T/e)/T as T -> infinity,
+    with W Lambert's function.
+
+    At t = 0, with p fixed and T -> infinity, e1/2 = 1 - sech(T - tau) is 1
+    but within O(1) of tau = T, so that
+        F0 = p^2 int_0^T (e1/2)^2/(tau + p)^2 dtau -> p,
+        F# - e# = int_0^T tau (e1/2)^2/(tau + p)^2 dtau -> log(T/p) - 1,
+    while e# = log cosh T and e0 = T - tanh T both grow like T: e#/e0 =
+    1 + O(1/T).  The balance the solve zeroes, (F# - e#)/e# = F0/e0, becomes
+    p = log(T/p) - 1, that is p e^p = T/e, so p* -> W(T/e), and MR* - 1 =
+    F0/e0 -> p*/T -> W(T/e)/T.  The terms dropped are of relative order
+    log(T)/T: the gaps measured 0.79-0.85 log(T)/T for p* and under 0.11
+    log(T)/T for MR* - 1, held here to 2 log(T)/T.  MR* - 1 is taken as
+    F0/e0 from the solve's own quadrature and gain: 1 subtracted from the
+    float MR* keeps only about 7 digits at T = 1e10, where it is 1.9e-9.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    bound = 2.0 * math.log(T) / T
+    spec = ProblemSpec(horizon=T)
+    w = float(mpmath.lambertw(T / math.e))
+    p = GaussianPrior(solve_sigma_mr(T).root).precision
+    assert abs(p / w - 1.0) <= bound
+    f0, _ = performance.coefficients(0.0, spec)(p)
+    assert abs(f0 / gains(0.0, spec).e0 / (w / T) - 1.0) <= bound
+
+
+@pytest.mark.parametrize("T", [1e6, 1e8, 1e10])
+def test_fueltax_solve_reaches_its_lambert_w_large_horizon_limit(T):
+    """p_ft = sigma_ft^-2 -> 2 W(T/(2e)) and lambda* - 1 -> 2 W(T/(2e))/T as
+    T -> infinity.
+
+    With lambda = 1 + mu, the taxed opponent's gaps at t = 0 grow as
+    e0_lambda - e0 = mu T + O(mu) and e#_lambda - e# = mu T/2 + O(mu)
+    (model.e0_gap, model.e_sharp_gap).  With F0 -> p and F# - e# -> log(T/p)
+    - 1 as for sigma*, the solve's two conditions, F0 = e0_lambda - e0 and
+    F# - e# = e#_lambda - e#, become p = mu T and log(T/p) - 1 = p/2, that
+    is (p/2) e^(p/2) = T/(2e): p_ft -> 2 W(T/(2e)) and lambda* - 1 = p_ft/T.
+    The gaps measured 1.86-2.05 log(T)/T for p_ft and 0.52-0.54 log(T)/T for
+    lambda* - 1 at 1e6 and 1e8, held here to 4 log(T)/T.  lambda* is a float
+    near 1, so lambda* - 1 is known to an ulp of lambda* only: at T = 1e10
+    that ulp is 5.4e-8 of it (23 log(T)/T), and the gap read 12 log(T)/T
+    there.  The bound adds that ulp.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    bound = 4.0 * math.log(T) / T
+    w2 = 2.0 * float(mpmath.lambertw(T / (2.0 * math.e)))
+    lam_r, sig_r = solve_fueltax(T)
+    assert abs(GaussianPrior(sig_r.root).precision / w2 - 1.0) <= bound
+    assert abs((lam_r.root - 1.0) - w2 / T) <= bound * w2 / T + math.ulp(lam_r.root)
+
+
 def test_fueltax_solves_evaluate_the_small_horizon_gaps_only_where_they_are_precise(monkeypatch):
     # below T = 1 model.e_sharp_gap and e0_gap form s = T/sqrt(1 + mu), which
     # is good to about 1e-16/mu relative; lambda* is near 1.29 there, and no
