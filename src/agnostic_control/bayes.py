@@ -9,7 +9,7 @@ with mean xi / (t + sigma^-2) and variance 1 / (t + sigma^-2).  The improper
 
 The Bayesian control is the known-drift law model.control_known_a with a
 replaced by the posterior mean; the simulator divides xi by the posterior
-precision of each step, tabulated once per run.
+precision of each step, tabulated per window of steps.
 """
 
 from __future__ import annotations

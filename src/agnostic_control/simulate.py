@@ -11,9 +11,9 @@ over [t_start, T].  Tests may inject a deterministic noise array in place of
 the generator.
 
 The law has one form here, Strategy.gain_table: a row of coefficients for
-each controlled step k >= k_start, built once per run (-e2, e1/2 and
-w = t + sigma^-2 for the Bayesian strategies; -e2 and (e1/2) a for
-known_a), which _control applies to a block of paths in place.  _run_block
+each controlled step k >= k_start of a window, built as the window is filled
+(-e2, e1/2 and w = t + sigma^-2 for the Bayesian strategies; -e2 and (e1/2) a
+for known_a), which _control applies to a block of paths in place.  _run_block
 steps a block on six preallocated vectors with the float operations
 u = -e2 q - (e1/2)(xi / w), cost += (q^2 + u^2) dt, dq = (a + u) dt +
 sqrt(dt) n and xi = (xi + dq) - u dt, in this order, so every cost is
@@ -28,11 +28,11 @@ mapping of its own (_window_buffer): column r holds the noise of path
 start + r, so that each step reads its noise as one contiguous row.  Each
 window is first filled, then stepped, and the block's state (q, xi, u, cost)
 carries into the next.  So the noise takes 8 B x _WINDOW x min(_CHUNK,
-n_paths), 16.4 MB at most, at any horizon; the gain table, about 130 B a
-step, still grows with it.  A run with a sink copies each step's (t, q, xi, u)
-of its block's first path, where _run_block yields, into the window's rows
-and hands them to the sink: acl simulate --dump-paths writes them as they
-come, one window in memory at any horizon, and simulate_path joins them.
+n_paths), 16.4 MB at most, and the law's rows at most _WINDOW tuples, at any
+horizon: nothing a run keeps grows with it.  A run with a sink copies each
+step's (t, q, xi, u) of its block's first path, where _run_block yields,
+into the window's rows and hands them to the sink: acl simulate --dump-paths
+writes them as they come, and simulate_path joins them.
 
 A run of more than _WINDOW steps keeps one generator per column for the call
 (about 0.6 kB each), built up front on the calling thread and keyed afresh at
@@ -40,15 +40,15 @@ each block's first window, so that each path's stream goes on where the last
 window stopped; a shorter run draws each block's noise from each path's key.
 From _THREAD_MIN_STEPS steps in a window on (below, the two threads spent
 longer passing the GIL between them than the second one saved), a helper
-thread fills the window beside the calling thread, which for the first
-window first builds the gain table.  Both take tiles of _TILE paths from one
-shared iterator until it runs dry: numpy's normal sampler and the scaling
-multiply release the GIL, and next() on a range iterator is atomic under it
-on every supported CPython (3.10 to 3.12, none free-threaded), so each tile
-is drawn exactly once, into its own columns, by whichever thread has time to
-spare.  Filling never overlaps stepping: the fill and the stepping loop's
-small ufunc calls pass the GIL back and forth and slow each other about
-two-fold, and an overlap would keep a second window in memory.
+thread fills the window beside the calling thread, which first builds the
+window's law rows.  Both take tiles of _TILE paths from one shared iterator
+until it runs dry: numpy's normal sampler and the scaling multiply release
+the GIL, and next() on a range iterator is atomic under it on every
+supported CPython (3.10 to 3.12, none free-threaded), so each tile is drawn
+exactly once, into its own columns, by whichever thread has time to spare.
+Filling never overlaps stepping: the fill and the stepping loop's small
+ufunc calls pass the GIL back and forth and slow each other about two-fold,
+and an overlap would keep a second window in memory.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ import numpy as np
 
 from .bayes import GaussianPrior, posterior_precision
 from .errors import BudgetError, DomainError, NonFiniteError
-from .model import ProblemSpec, own_gains, value_known_a
+from .model import ProblemSpec, e1_unit, value_known_a
 from .performance import _check_drift, regret_form
 
 MAX_TOTAL_STEPS = 10 ** 9
@@ -132,24 +132,21 @@ class Strategy:
     a: float | None = None
     prior: GaussianPrior | None = None
 
-    def gain_table(self, config: SimConfig) -> list[tuple] | None:
-        """The law's coefficients at each controlled step k = k_start, ...,
-        n_steps - 1, at t = k dt: (-e2, e1/2, t + sigma^-2) for the Bayesian
-        strategies, (-e2, e1/2 * a, None) for known_a; None for zero_control,
-        which applies no control.  k_start * dt may fall an ulp short of
-        t_start (11 * 0.03 < 0.33); the gains do not depend on t_start."""
+    def gain_table(self, config: SimConfig, k: int, n: int) -> list[tuple] | None:
+        """The law's coefficients at each controlled step j among k, ..., k + n - 1,
+        with t = j dt, s = T - t: (-tanh s, e1_unit(s)/2, t + sigma^-2) for the
+        Bayesian strategies, (-tanh s, e1_unit(s)/2 * a, None) for known_a;
+        None for zero_control.  These are model.own_gains' -e2 and e1/2, float
+        for float (numpy's tanh differs in the last bits).  k_start * dt may
+        fall an ulp short of t_start (11 * 0.03 < 0.33); the gains do not
+        depend on t_start."""
         if self.name == "zero_control":
             return None
-        spec, dt = config.spec, config.dt
-        rows = []
-        for k in range(config.k_start, config.n_steps):
-            t = k * dt
-            g = own_gains(t, spec)
-            if self.prior is None:
-                rows.append((-g.e2, 0.5 * g.e1 * self.a, None))
-            else:
-                rows.append((-g.e2, 0.5 * g.e1, posterior_precision(t, self.prior)))
-        return rows
+        T, dt, a, prior = config.spec.horizon, config.dt, self.a, self.prior
+        steps = ((j * dt, T - j * dt) for j in range(max(k, config.k_start), k + n))
+        if prior is None:
+            return [(-math.tanh(s), 0.5 * e1_unit(s) * a, None) for _, s in steps]
+        return [(-math.tanh(s), 0.5 * e1_unit(s), posterior_precision(t, prior)) for t, s in steps]
 
     def describe(self) -> dict:
         d = {"variant": self.name}
@@ -268,13 +265,14 @@ def _run_block(table: list[tuple] | None, config: SimConfig, noise: np.ndarray,
     """Advance a block of paths over steps k_first, ..., k_first +
     noise.shape[1] - 1: a generator that yields each step's k once u holds
     the step's control and the cost its term, before q and xi move on, and
-    at its end checks that q and the cost are finite.  table is the strategy's gain_table(config);
-    noise (paths x steps) holds the increments sqrt(dt) * N(0, 1).  The
-    paths step in place on the six rows of state, q, xi, u, cost and two
-    scratch rows (zeros at step 0), so that a later call on the same state
-    goes on where this one stopped.  u stays 0 until the first controlled
-    step k_start, and for zero_control throughout."""
-    dt, a, k0 = config.dt, config.a_true, config.k_start
+    at its end checks that q and the cost are finite.  table is the
+    strategy's gain_table(config, k_first, noise.shape[1]), row 0 at the
+    first controlled step of these; noise (paths x steps) holds the
+    increments sqrt(dt) * N(0, 1).  The paths step in place on the six rows
+    of state, q, xi, u, cost and two scratch rows (zeros at step 0), so that a
+    later call on the same state goes on where this one stopped.  u stays 0
+    until the first controlled step k_start, and for zero_control throughout."""
+    dt, a, k0 = config.dt, config.a_true, max(config.k_start, k_first)
     q, xi, u, cost, dq, tmp = state
     for k, increment in zip(range(k_first, k_first + noise.shape[1]), noise.T):
         if k >= k0:
@@ -364,8 +362,7 @@ def run_paths(strategy: Strategy, config: SimConfig, first: int, n_paths: int,
                 args = (window, config.seed, first + start, sqrt_dt, tiles, rngs, k == 0)
                 threaded = noise is None and len(window) >= _THREAD_MIN_STEPS
                 pending = helper.submit(_fill_noise, *args) if threaded else None
-                if start == k == 0:
-                    table = strategy.gain_table(config)
+                table = strategy.gain_table(config, k, len(window))
                 if noise is None:
                     _fill_noise(*args)
                 else:

@@ -134,7 +134,8 @@ def test_xi_diffuses_like_drifted_brownian_motion():
         stop = min(start + 2000, cfg.n_paths)
         noise = np.stack([path_noise(cfg.seed, i, n_steps) for i in range(start, stop)])
         state = np.zeros((6, len(noise)))
-        for _ in _run_block(strategy.gain_table(cfg), cfg, math.sqrt(cfg.dt) * noise, state, 0):
+        table = strategy.gain_table(cfg, 0, n_steps)
+        for _ in _run_block(table, cfg, math.sqrt(cfg.dt) * noise, state, 0):
             pass
         xis[start:stop] = state[1]
     se = xis.std(ddof=1) / math.sqrt(cfg.n_paths)

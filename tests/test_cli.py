@@ -253,7 +253,7 @@ def test_dump_memory_set_by_the_window_not_the_horizon(tmp_path, capsys, monkeyp
     assert cfg.n_steps >= 20 * simulate._WINDOW
     tracemalloc.start()
     try:
-        table = make_strategy("bayes", sigma=1.5).gain_table(cfg)
+        table = make_strategy("bayes", sigma=1.5).gain_table(cfg, 0, cfg.n_steps)
         table_bytes = tracemalloc.get_traced_memory()[0]
         del table
         assert main(argv) == 0  # lazy imports and first-call caches

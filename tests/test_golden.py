@@ -49,6 +49,12 @@ CASES = {
     "simulate-dump-windows": ["simulate", "--strategy", "bayes", "--sigma", "1.5", "--a", "1",
                               "--T", "1.2", "--dt", "0.001", "--paths", "3", "--seed", "0",
                               "--out", "sim", "--dump-paths", "1"],
+    # two blocks, the second of one path, and two windows, control starting in the first
+    "simulate-improper-windows": ["simulate", "--strategy", "bayes_improper", "--a", "1",
+                                  "--T", "1.2", "--T0", "0.5", "--dt", "0.001", "--paths", "2049",
+                                  "--seed", "1"],
+    "simulate-known-windows": ["simulate", "--strategy", "known_a", "--a", "-0.7", "--T", "1.2",
+                               "--T0", "0.5", "--dt", "0.001", "--paths", "2049", "--seed", "1"],
     "regret-multiplicative": ["regret", "--mode", "multiplicative", "--T", "2"],
     "regret-additive": ["regret", "--mode", "additive", "--T", "2", "--T0", "0.5",
                         "--sigma", "improper"],

@@ -28,7 +28,7 @@ from agnostic_control import (
     simulate_path,
     value_known_a,
 )
-from agnostic_control import model, simulate
+from agnostic_control import simulate
 from agnostic_control.simulate import analytic_cost, path_noise
 
 
@@ -110,8 +110,8 @@ def test_zero_control_drift_statistics():
     for start in range(0, cfg.n_paths, 2000):
         stop = min(start + 2000, cfg.n_paths)
         noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(start, stop)])
-        qs[start:stop] = _stepped(make_strategy("zero_control").gain_table(cfg), cfg,
-                                  math.sqrt(cfg.dt) * noise)[0]
+        table = make_strategy("zero_control").gain_table(cfg, 0, cfg.n_steps)
+        qs[start:stop] = _stepped(table, cfg, math.sqrt(cfg.dt) * noise)[0]
     se = qs.std(ddof=1) / math.sqrt(cfg.n_paths)
     assert abs(qs.mean() - a * T) <= 4 * se
     assert abs(qs.var(ddof=1) - T) <= 0.1 * T
@@ -219,7 +219,7 @@ def test_costs_do_not_depend_on_chunking(monkeypatch, strategy):
     t_start = 0.5 if strategy.name == "bayes_improper" else 0.0
     cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=0.5, n_paths=201, seed=4)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
-    table, scaled = strategy.gain_table(cfg), math.sqrt(cfg.dt) * noise
+    table, scaled = strategy.gain_table(cfg, 0, cfg.n_steps), math.sqrt(cfg.dt) * noise
     serial = np.concatenate([_stepped(table, cfg, scaled[i:i + 1])[3]
                              for i in range(cfg.n_paths)])
     cases = [(chunk, 50) for chunk in (7, 50, 4096)]
@@ -375,15 +375,15 @@ def test_one_block_in_memory_and_freed_after_the_call(monkeypatch):
 
 def test_noise_memory_set_by_the_window_not_the_horizon(monkeypatch):
     # 3 000 steps in windows of _WINDOW steps: the peak stays within the
-    # window's buffer, the two threads' tile scratches and the gain table,
-    # with a quarter to spare; a buffer of the whole horizon would be three
-    # windows
+    # window's buffer, the two threads' tile scratches and one window's law
+    # rows, with a quarter to spare; a buffer of the whole horizon would be
+    # three windows
     cfg = small_config(spec=ProblemSpec(horizon=3.0), dt=1e-3, n_paths=300)
     assert cfg.n_steps >= 3 * simulate._WINDOW
     strategy = make_strategy("bayes", sigma=1.5)
     tracemalloc.start()
     try:
-        table = strategy.gain_table(cfg)
+        table = strategy.gain_table(cfg, 0, simulate._WINDOW)
         table_bytes = tracemalloc.get_traced_memory()[0]
         del table
     finally:
@@ -392,6 +392,19 @@ def test_noise_memory_set_by_the_window_not_the_horizon(monkeypatch):
     window_bytes = 8 * simulate._WINDOW * (min(simulate._CHUNK, cfg.n_paths) + 2 * simulate._TILE)
     assert peak < 1.25 * (window_bytes + table_bytes)
     assert abs(left) < 0.01 * window_bytes
+
+
+@pytest.mark.parametrize("variant", ["bayes", "known_a"])
+def test_law_rows_memory_set_by_the_window_not_the_horizon(monkeypatch, variant):
+    # one path through 40 windows of 20 steps: the law's rows are built per
+    # window, so the traced peak of a warm call stays within 1 kB a step of
+    # one window; a table of the whole 800 steps peaked at 45-62 kB
+    monkeypatch.setattr(simulate, "_WINDOW", 20)
+    cfg = small_config(spec=ProblemSpec(horizon=0.8, t_start=0.1), dt=1e-3, n_paths=1)
+    assert cfg.n_steps >= 40 * simulate._WINDOW
+    strategy = make_strategy(variant, a=0.7, sigma=1.5)
+    peak, _ = _memory_over(monkeypatch, lambda: monte_carlo_cost(strategy, cfg))
+    assert peak < 1000 * simulate._WINDOW
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -567,7 +580,7 @@ def test_gain_table_steps_bit_identical_to_per_step_law(monkeypatch, variant, T,
                     n_paths=30, seed=3)
     noise = np.stack([path_noise(cfg.seed, i, cfg.n_steps) for i in range(cfg.n_paths)])
     costs, traj, q, xi = _per_step_reference(strategy, cfg, noise)
-    got = _stepped(strategy.gain_table(cfg), cfg, math.sqrt(dt) * noise)
+    got = _stepped(strategy.gain_table(cfg, 0, cfg.n_steps), cfg, math.sqrt(dt) * noise)
     assert got[0].tobytes() == q.tobytes()
     assert got[1].tobytes() == xi.tobytes()
     monkeypatch.setattr(simulate, "_CHUNK", 7)
@@ -596,20 +609,24 @@ def test_fuel_weight_changes_neither_simulation_nor_reference(variant, T, t_star
     assert results[1] == results[0]
 
 
-def test_gains_evaluated_once_per_controlled_step(monkeypatch):
-    # one gain table per run, not one per block of paths
-    calls = []
-    original = model.gains
+def test_law_rows_built_once_per_block_and_controlled_step(monkeypatch):
+    # each block builds each window's rows once, as the window is filled:
+    # 8 blocks of 7 paths, 5 windows of 20 steps, control from step 30, in
+    # the second window
+    rows = []
+    gain_table = simulate.Strategy.gain_table
 
-    def counted(t, spec):
-        calls.append(t)
-        return original(t, spec)
+    def counted(self, config, k, n):
+        table = gain_table(self, config, k, n)
+        rows.extend(table)
+        return table
 
-    monkeypatch.setattr(model, "gains", counted)
+    monkeypatch.setattr(simulate.Strategy, "gain_table", counted)
     monkeypatch.setattr(simulate, "_CHUNK", 7)
+    monkeypatch.setattr(simulate, "_WINDOW", 20)
     cfg = small_config(spec=ProblemSpec(horizon=1.0, t_start=0.3), a_true=0.5, n_paths=50)
     monte_carlo_cost(make_strategy("bayes", sigma=1.5), cfg)
-    assert len(calls) == cfg.n_steps - cfg.k_start
+    assert len(rows) == math.ceil(cfg.n_paths / 7) * (cfg.n_steps - cfg.k_start)
 
 
 def _euler_moments(table, cfg):
@@ -647,5 +664,5 @@ def test_monte_carlo_matches_exact_euler_moments(variant, t_start):
     cfg = SimConfig(spec=ProblemSpec(horizon=1.0, t_start=t_start), a_true=1.0, dt=0.1,
                     n_paths=12_000, seed=8)
     est = monte_carlo_cost(strategy, cfg)
-    exact = _euler_moments(strategy.gain_table(cfg), cfg)
+    exact = _euler_moments(strategy.gain_table(cfg, 0, cfg.n_steps), cfg)
     assert abs(est.mean - exact) <= 4 * est.stderr
